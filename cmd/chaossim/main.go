@@ -22,16 +22,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"composable/internal/obs"
-	"composable/internal/obs/analyze"
-	"composable/internal/orchestrator"
-	"composable/internal/scengen"
+	"composable/internal/fleetcli"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -39,117 +35,27 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the testable main: parse flags, build the scenario, run it, and
 // return the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chaossim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		seed        = fs.Int64("seed", 1, "fleet scenario seed (job stream, fleet shape, policy)")
-		faultSeed   = fs.Int64("fault-seed", 0, "fault schedule seed (0 = derive from -seed)")
-		policy      = fs.String("policy", "", "override the placement policy")
-		hosts       = fs.Int("hosts", 0, "override the host count (1-3)")
-		gpus        = fs.Int("gpus", 0, "override the chassis GPU inventory (2-16)")
-		pod         = fs.Bool("pod", false, "draw a pod-shaped (multi-chassis spine/leaf) scenario from the seed")
-		pods        = fs.Int("pods", 0, "override the pod count (selects the pod shape, 1-4)")
-		cpp         = fs.Int("chassis-per-pod", 0, "override the chassis per pod (selects the pod shape, 1-3)")
-		oversub     = fs.Float64("oversub", 0, "override the spine oversubscription ratio (pod shape, 1-16)")
-		retries     = fs.Int("retries", 0, "per-job retry budget (0 = default, negative = none)")
-		fingerprint = fs.Bool("fingerprint", false, "print the canonical telemetry fingerprint after the report")
-		traceOut    = fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (load in Perfetto)")
-		metricsOut  = fs.String("metrics", "", "write the sampled metrics series as CSV to this file")
-		metricsIvMS = fs.Int("metrics-interval", 0, "metrics sampling interval in sim-time ms (default 100)")
-		report      = fs.Bool("report", false, "print the trace-analytics report (attribution, percentiles) after the run")
-		sloSpec     = fs.String("slo", "", `evaluate this SLO against the run and exit 3 on violation, e.g. "p99-wait<=1m max-failed<=0"`)
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	slo, err := analyze.ParseSLO(*sloSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "chaossim:", err)
+	c := fleetcli.New("chaossim", stdout, stderr)
+	c.ScenarioFlags("fault schedule seed (0 = derive from -seed)")
+	retries := c.FS.Int("retries", 0, "per-job retry budget (0 = default, negative = none)")
+	if !c.Parse(args) {
 		return 2
 	}
 
-	sc := scengen.FaultsFromSeed(*seed)
-	podShaped := *pod
-	if *pod {
-		sc.Fleet = scengen.PodFleetFromSeed(*seed)
-	}
-	if *policy != "" {
-		if _, err := orchestrator.PolicyByName(*policy); err != nil {
-			fmt.Fprintln(stderr, "chaossim:", err)
-			return 2
-		}
-		sc.Fleet.Policy = *policy
-	}
-	if *hosts != 0 {
-		sc.Fleet.Hosts = *hosts
-	}
-	if *gpus != 0 {
-		sc.Fleet.GPUs = *gpus
-	}
-	if *pods != 0 {
-		sc.Fleet.Pods = *pods
-		if sc.Fleet.ChassisPerPod == 0 {
-			sc.Fleet.ChassisPerPod = 1
-		}
-		podShaped = true
-	}
-	if *cpp != 0 {
-		sc.Fleet.ChassisPerPod = *cpp
-		if sc.Fleet.Pods == 0 {
-			sc.Fleet.Pods = 1
-		}
-		podShaped = true
-	}
-	if *oversub != 0 {
-		sc.Fleet.Oversubscription = *oversub
-	}
-	switch {
-	case *faultSeed != 0:
-		sc.Plan = scengen.PlanForFleet(*faultSeed, sc.Fleet)
-	case podShaped:
-		// The degenerate draw knows nothing about pods or spine links;
-		// re-derive the schedule against the pod-shaped bounds so the two
-		// pod-scoped fault kinds are in play.
-		sc.Plan = scengen.PlanForFleet(*seed, sc.Fleet)
-	}
-	if *retries != 0 {
-		sc.MaxRetries = *retries
-	}
-	sc = scengen.SanitizeFaults(sc)
+	sc := c.FaultScenario(*retries)
 
-	fmt.Fprintf(stdout, "chaossim scenario %s (seed %d)\n\nfault plan:\n", sc.ID(), *seed)
+	fmt.Fprintf(stdout, "chaossim scenario %s (seed %d)\n\nfault plan:\n", sc.ID(), c.Seed)
 	if len(sc.Plan.Events) == 0 {
 		fmt.Fprintf(stdout, "  (empty — fault-free run)\n")
 	}
 	for _, e := range sc.Plan.Events {
 		fmt.Fprintf(stdout, "  %v\n", e)
 	}
-
-	var col *obs.Collector
-	if *traceOut != "" || *metricsOut != "" || *report || !slo.Empty() {
-		col = obs.NewCollector()
-		col.SetInterval(time.Duration(*metricsIvMS) * time.Millisecond)
-	}
-
-	out, err := scengen.RunFaultyFleetObserved(sc, col)
+	out, err := c.Run(sc)
 	if err != nil {
-		fmt.Fprintln(stderr, "chaossim:", err)
-		return 1
+		return c.Fail(1, err)
 	}
 	res := out.Result
-
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, col.WriteTrace); err != nil {
-			fmt.Fprintln(stderr, "chaossim:", err)
-			return 1
-		}
-	}
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, col.WriteMetricsCSV); err != nil {
-			fmt.Fprintln(stderr, "chaossim:", err)
-			return 1
-		}
-	}
 
 	fmt.Fprintf(stdout, "\n%4s %-12s %3s %5s %8s %6s %10s %10s  %s\n",
 		"job", "workload", "g", "host", "retries", "ckpt", "lost", "finish", "state")
@@ -169,48 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  fault timeline [0, %v]: %s\n",
 			res.Makespan.Round(time.Millisecond), res.Track.Timeline(48, res.Makespan))
 	}
-
-	if err := out.Err(); err != nil {
-		fmt.Fprintln(stderr, "chaossim: INVARIANT VIOLATIONS:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "  invariants: all held (%d jobs, %d faults; lifecycle+assignment+conservation+lost-work)\n",
-		len(res.Jobs), res.Faults)
-	if col != nil {
-		fmt.Fprintf(stdout, "\n%s", col.Summary())
-	}
-
-	var health *analyze.HealthReport
-	if *report || !slo.Empty() {
-		a := analyze.FromCollector(col).Analyze()
-		stats := out.Stats()
-		if !slo.Empty() {
-			health = analyze.Evaluate(slo, a, stats)
-		}
-		fmt.Fprintln(stdout)
-		if err := analyze.WriteText(stdout, a, &stats, health, 5); err != nil {
-			fmt.Fprintln(stderr, "chaossim:", err)
-			return 1
-		}
-	}
-	if *fingerprint {
-		fmt.Fprintf(stdout, "\n--- fingerprint\n%s", out.Fingerprint)
-	}
-	if health != nil && !health.Healthy {
-		return 3
-	}
-	return 0
-}
-
-// writeFile creates path and streams one exporter into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return c.Finish(out, fmt.Sprintf("%d jobs, %d faults; lifecycle+assignment+conservation+lost-work",
+		len(res.Jobs), res.Faults))
 }

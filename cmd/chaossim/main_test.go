@@ -147,3 +147,20 @@ func TestTraceRunTwiceByteIdentical(t *testing.T) {
 		t.Error("trace carries no events")
 	}
 }
+
+// TestNegativeRetriesMeansNone pins "-retries negative = none": seed 6
+// kills jobs, so with no retry budget at least one must fail, and the run
+// must differ from the default budget (-retries 0).
+func TestNegativeRetriesMeansNone(t *testing.T) {
+	code, none, stderr := capture(t, "-seed", "6", "-retries", "-1", "-fingerprint")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(none, "FAILED:") {
+		t.Errorf("-retries -1 failed no job:\n%s", none)
+	}
+	_, dflt, _ := capture(t, "-seed", "6", "-retries", "0", "-fingerprint")
+	if none == dflt {
+		t.Error("-retries -1 ran with the default budget")
+	}
+}

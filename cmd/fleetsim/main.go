@@ -21,16 +21,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"composable/internal/obs"
-	"composable/internal/obs/analyze"
+	"composable/internal/fleetcli"
 	"composable/internal/orchestrator"
-	"composable/internal/scengen"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -38,35 +35,15 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the testable main: parse flags, build the scenario, run it, and
 // return the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := fleetcli.New("fleetsim", stdout, stderr)
+	c.ScenarioFlags("arm a seeded fault schedule (failures + recovery; 0 = fault-free). See cmd/chaossim for the full fault driver.")
+	c.FS.IntVar(&c.Jobs, "jobs", 0, "trim the stream to this many jobs")
 	var (
-		seed        = fs.Int64("seed", 1, "scenario seed (job stream, fleet shape, policy)")
-		policy      = fs.String("policy", "", "override the placement policy (see -list-policies)")
-		hosts       = fs.Int("hosts", 0, "override the host count (1-3)")
-		gpus        = fs.Int("gpus", 0, "override the chassis GPU inventory (2-16)")
-		jobs        = fs.Int("jobs", 0, "trim the stream to this many jobs")
-		attachMS    = fs.Int("attach-ms", -1, "override the per-device recomposition latency in ms (0 = free)")
-		warm        = fs.Bool("warm", false, "preattach GPUs round-robin (a warm fleet) regardless of the seed's draw")
-		pod         = fs.Bool("pod", false, "draw a pod-shaped (multi-chassis spine/leaf) scenario from the seed")
-		pods        = fs.Int("pods", 0, "override the pod count (selects the pod shape, 1-4)")
-		cpp         = fs.Int("chassis-per-pod", 0, "override the chassis per pod (selects the pod shape, 1-3)")
-		oversub     = fs.Float64("oversub", 0, "override the spine oversubscription ratio (pod shape, 1-16)")
-		faultSeed   = fs.Int64("fault-seed", 0, "arm a seeded fault schedule (failures + recovery; 0 = fault-free). See cmd/chaossim for the full fault driver.")
-		fingerprint = fs.Bool("fingerprint", false, "print the canonical telemetry fingerprint after the report")
-		listPol     = fs.Bool("list-policies", false, "list placement policies and exit")
-		traceOut    = fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (load in Perfetto)")
-		metricsOut  = fs.String("metrics", "", "write the sampled metrics series as CSV to this file")
-		metricsIvMS = fs.Int("metrics-interval", 0, "metrics sampling interval in sim-time ms (default 100)")
-		report      = fs.Bool("report", false, "print the trace-analytics report (attribution, percentiles) after the run")
-		sloSpec     = fs.String("slo", "", `evaluate this SLO against the run and exit 3 on violation, e.g. "p99-wait<=1m util>=0.2"`)
+		attachMS = c.FS.Int("attach-ms", -1, "override the per-device recomposition latency in ms (0 = free)")
+		warm     = c.FS.Bool("warm", false, "preattach GPUs round-robin (a warm fleet) regardless of the seed's draw")
+		listPol  = c.FS.Bool("list-policies", false, "list placement policies and exit")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	slo, err := analyze.ParseSLO(*sloSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
+	if !c.Parse(args) {
 		return 2
 	}
 	if *listPol {
@@ -76,87 +53,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	sc := scengen.FleetFromSeed(*seed)
-	if *pod {
-		sc = scengen.PodFleetFromSeed(*seed)
-	}
-	if *policy != "" {
-		if _, err := orchestrator.PolicyByName(*policy); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 2
-		}
-		sc.Policy = *policy
-	}
-	if *hosts != 0 {
-		sc.Hosts = *hosts
-	}
-	if *gpus != 0 {
-		sc.GPUs = *gpus
-	}
-	if *pods != 0 {
-		sc.Pods = *pods
-		if sc.ChassisPerPod == 0 {
-			sc.ChassisPerPod = 1
-		}
-	}
-	if *cpp != 0 {
-		sc.ChassisPerPod = *cpp
-		if sc.Pods == 0 {
-			sc.Pods = 1
-		}
-	}
-	if *oversub != 0 {
-		sc.Oversubscription = *oversub
-	}
-	if *jobs > 0 && *jobs < len(sc.Jobs) {
-		sc.Jobs = sc.Jobs[:*jobs]
-	}
+	fleet := c.Fleet()
 	switch {
 	case *attachMS == 0:
-		sc.AttachLatency = -1 // free recomposition
+		fleet.AttachLatency = -1 // free recomposition
 	case *attachMS > 0:
-		sc.AttachLatency = time.Duration(*attachMS) * time.Millisecond
+		fleet.AttachLatency = time.Duration(*attachMS) * time.Millisecond
 	}
 	if *warm {
-		sc.Preattach = true
+		fleet.Preattach = true
 	}
-	sc = scengen.SanitizeFleet(sc)
-
-	var col *obs.Collector
-	if *traceOut != "" || *metricsOut != "" || *report || !slo.Empty() {
-		col = obs.NewCollector()
-		col.SetInterval(time.Duration(*metricsIvMS) * time.Millisecond)
-	}
-
-	var out *scengen.FleetOutcome
-	if *faultSeed != 0 {
-		fc := scengen.SanitizeFaults(scengen.FaultScenario{
-			Fleet: sc, Plan: scengen.PlanForFleet(*faultSeed, sc),
-		})
-		out, err = scengen.RunFaultyFleetObserved(fc, col)
-	} else {
-		out, err = scengen.RunFleetObserved(sc, col)
-	}
+	out, err := c.Run(c.Arm(fleet))
 	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
-		return 1
+		return c.Fail(1, err)
 	}
 	res := out.Result
 
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, col.WriteTrace); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-	}
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, col.WriteMetricsCSV); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-	}
-
-	fmt.Fprintf(stdout, "fleetsim scenario %s (seed %d)\n\n", sc.ID(), sc.Seed)
+	fmt.Fprintf(stdout, "fleetsim scenario %s (seed %d)\n\n", out.Scenario.ID(), out.Scenario.Seed)
 	fmt.Fprintf(stdout, "%4s %-12s %3s %7s %5s %6s %10s %10s %10s %10s\n",
 		"job", "workload", "g", "tenant", "host", "moves", "arrival", "wait", "runtime", "finish")
 	for _, j := range res.Jobs {
@@ -166,48 +79,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			j.Runtime.Round(time.Millisecond), j.Finished.Round(time.Millisecond))
 	}
 	fmt.Fprintf(stdout, "\n%s", res.Summary())
-
-	if err := out.Err(); err != nil {
-		fmt.Fprintln(stderr, "fleetsim: INVARIANT VIOLATIONS:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "  invariants: all held (%d jobs, lifecycle+assignment+conservation)\n", len(res.Jobs))
-	if col != nil {
-		fmt.Fprintf(stdout, "\n%s", col.Summary())
-	}
-
-	var health *analyze.HealthReport
-	if *report || !slo.Empty() {
-		a := analyze.FromCollector(col).Analyze()
-		stats := out.Stats()
-		if !slo.Empty() {
-			health = analyze.Evaluate(slo, a, stats)
-		}
-		fmt.Fprintln(stdout)
-		if err := analyze.WriteText(stdout, a, &stats, health, 5); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-	}
-	if *fingerprint {
-		fmt.Fprintf(stdout, "\n--- fingerprint\n%s", out.Fingerprint)
-	}
-	if health != nil && !health.Healthy {
-		return 3
-	}
-	return 0
-}
-
-// writeFile atomically-enough creates path and streams one exporter into
-// it; shared by the -trace and -metrics flags here and in chaossim.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return c.Finish(out, fmt.Sprintf("%d jobs, lifecycle+assignment+conservation", len(res.Jobs)))
 }

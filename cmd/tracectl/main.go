@@ -19,12 +19,12 @@
 package main
 
 import (
-	"flag"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 
-	"composable/internal/obs"
+	"composable/internal/fleetcli"
 	"composable/internal/obs/analyze"
 	"composable/internal/scengen"
 )
@@ -34,129 +34,40 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the testable main: parse flags, obtain a trace (file or
 // fresh scenario run), analyze, render, and score the SLO.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracectl", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		file      = fs.String("file", "", "analyze this exported Chrome trace instead of running a scenario")
-		seed      = fs.Int64("seed", 1, "scenario seed when running (ignored with -file)")
-		pod       = fs.Bool("pod", false, "draw a pod-shaped (multi-chassis spine/leaf) scenario from the seed")
-		faultSeed = fs.Int64("fault-seed", 0, "arm a seeded fault schedule (0 = fault-free)")
-		jobs      = fs.Int("jobs", 0, "trim the scenario stream to this many jobs")
-		topN      = fs.Int("top", 5, "show the N slowest jobs")
-		sloSpec   = fs.String("slo", "", `declarative SLO, e.g. "p99-wait<=800ms goodput>=2.5 util>=0.4 max-failed<=0"`)
-		jsonOut   = fs.Bool("json", false, "emit the machine-readable JSON report instead of text")
-		outPath   = fs.String("o", "", "write the report to this file instead of stdout")
-		emitTrace = fs.String("emit-trace", "", "in run mode, also write the raw Chrome trace to this file (re-analyzable via -file)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	slo, err := analyze.ParseSLO(*sloSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracectl:", err)
+	c := fleetcli.New("tracectl", stdout, stderr)
+	c.FS.Int64Var(&c.Seed, "seed", 1, "scenario seed when running (ignored with -file)")
+	c.FS.BoolVar(&c.Pod, "pod", false, "draw a pod-shaped (multi-chassis spine/leaf) scenario from the seed")
+	c.FS.Int64Var(&c.FaultSeed, "fault-seed", 0, "arm a seeded fault schedule (0 = fault-free)")
+	c.FS.IntVar(&c.Jobs, "jobs", 0, "trim the scenario stream to this many jobs")
+	c.FS.StringVar(&c.SLOSpec, "slo", "", `declarative SLO, e.g. "p99-wait<=800ms goodput>=2.5 util>=0.4 max-failed<=0"`)
+	c.FS.StringVar(&c.Trace, "emit-trace", "", "in run mode, also write the raw Chrome trace to this file (re-analyzable via -file)")
+	c.FS.IntVar(&c.TopN, "top", 5, "show the N slowest jobs")
+	c.FS.BoolVar(&c.JSON, "json", false, "emit the machine-readable JSON report instead of text")
+	c.FS.StringVar(&c.Out, "o", "", "write the report to this file instead of stdout")
+	file := c.FS.String("file", "", "analyze this exported Chrome trace instead of running a scenario")
+	if !c.Parse(args) {
 		return 2
 	}
 
 	var tr *analyze.Trace
-	var stats *analyze.FleetStats
+	var out *scengen.FleetOutcome
 	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
+		b, err := os.ReadFile(*file)
+		if err == nil {
+			tr, err = analyze.ReadTrace(bytes.NewReader(b))
 		}
-		tr, err = analyze.ReadTrace(f)
-		f.Close()
 		if err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
+			return c.Fail(1, err)
 		}
-		// Run-level metrics (goodput, utilization) are not recoverable
-		// from a bare trace; SLO clauses on them will report skipped.
 	} else {
-		sc := scengen.FleetFromSeed(*seed)
-		if *pod {
-			sc = scengen.PodFleetFromSeed(*seed)
-		}
-		if *jobs > 0 && *jobs < len(sc.Jobs) {
-			sc.Jobs = sc.Jobs[:*jobs]
-		}
-		sc = scengen.SanitizeFleet(sc)
-		col := obs.NewCollector()
-		var out *scengen.FleetOutcome
-		if *faultSeed != 0 {
-			fc := scengen.SanitizeFaults(scengen.FaultScenario{
-				Fleet: sc, Plan: scengen.PlanForFleet(*faultSeed, sc),
-			})
-			out, err = scengen.RunFaultyFleetObserved(fc, col)
-		} else {
-			out, err = scengen.RunFleetObserved(sc, col)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
+		c.Report = true // the report is this command's output
+		var err error
+		if out, err = c.Run(c.Arm(c.Fleet())); err != nil {
+			return c.Fail(1, err)
 		}
 		if err := out.Err(); err != nil {
-			fmt.Fprintln(stderr, "tracectl: INVARIANT VIOLATIONS:", err)
-			return 1
-		}
-		tr = analyze.FromCollector(col)
-		s := out.Stats()
-		stats = &s
-		if *emitTrace != "" {
-			f, err := os.Create(*emitTrace)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracectl:", err)
-				return 1
-			}
-			if err := col.WriteTrace(f); err != nil {
-				f.Close()
-				fmt.Fprintln(stderr, "tracectl:", err)
-				return 1
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(stderr, "tracectl:", err)
-				return 1
-			}
+			return c.Fail(1, fmt.Errorf("INVARIANT VIOLATIONS: %w", err))
 		}
 	}
-
-	a := tr.Analyze()
-	var health *analyze.HealthReport
-	if !slo.Empty() {
-		st := analyze.FleetStats{}
-		if stats != nil {
-			st = *stats
-		}
-		health = analyze.Evaluate(slo, a, st)
-	}
-
-	w := io.Writer(stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	if *jsonOut {
-		b, err := analyze.JSONReport(a, stats, health, *topN)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
-		}
-		if _, err := w.Write(b); err != nil {
-			fmt.Fprintln(stderr, "tracectl:", err)
-			return 1
-		}
-	} else if err := analyze.WriteText(w, a, stats, health, *topN); err != nil {
-		fmt.Fprintln(stderr, "tracectl:", err)
-		return 1
-	}
-	if health != nil && !health.Healthy {
-		return 3
-	}
-	return 0
+	return c.Analyze(tr, out)
 }

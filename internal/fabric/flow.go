@@ -270,6 +270,7 @@ func (n *Network) StartFlow(src, dst NodeID, size units.Bytes) (*Flow, error) {
 // StartFlowLimited is StartFlow with a per-flow rate cap (0 = unlimited),
 // used for endpoints whose internal media is slower than their link — an
 // NVMe device's flash, a DMA engine's request rate.
+//
 //perf:hot
 func (n *Network) StartFlowLimited(src, dst NodeID, size units.Bytes, maxRate units.BytesPerSec) (*Flow, error) {
 	path, err := n.Route(src, dst)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +231,65 @@ func TestReportsDeterministic(t *testing.T) {
 	}
 	if _, ok := doc["blame"]; !ok {
 		t.Error("JSON report missing blame totals")
+	}
+}
+
+// TestReadTraceRejectsOverflow pins that a timestamp or duration past
+// int64 nanoseconds is an error, not a wrapped value: the seed-1, 3-job
+// fleet trace with job 0's run span edited to the overflowing values.
+func TestReadTraceRejectsOverflow(t *testing.T) {
+	fleet := scengen.FleetFromSeed(1)
+	fleet.Jobs = fleet.Jobs[:3]
+	c := obs.NewCollector()
+	if _, err := scengen.RunFleetObserved(scengen.SanitizeFleet(fleet), c); err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := c.WriteTrace(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, ts, dur string
+		wantErr       bool
+	}{
+		{"dur overflows the multiply", "", "9300000000000000", true},
+		{"ts overflows the fractional add", "9223372036854775.808", "0", true},
+		{"span end overflows", "9223372036854775", "1", true},
+		{"largest ts", "9223372036854775.807", "0", false},
+	} {
+		var doc map[string]any
+		dec := json.NewDecoder(bytes.NewReader(raw.Bytes()))
+		dec.UseNumber()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		edited := false
+		for _, e := range doc["traceEvents"].([]any) {
+			ev := e.(map[string]any)
+			args, _ := ev["args"].(map[string]any)
+			if ev["ph"] != "X" || ev["name"] != "run" || args["job"] != json.Number("0") {
+				continue
+			}
+			if tc.ts != "" {
+				ev["ts"] = json.Number(tc.ts)
+			}
+			ev["dur"] = json.Number(tc.dur)
+			edited = true
+		}
+		if !edited {
+			t.Fatal("trace has no run span for job 0")
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = analyze.ReadTrace(bytes.NewReader(b))
+		if tc.wantErr && (err == nil || !strings.Contains(err.Error(), "overflows")) {
+			t.Errorf("%s: err = %v, want an overflow error", tc.name, err)
+		}
+		if !tc.wantErr && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -124,6 +125,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				if err != nil {
 					return nil, fmt.Errorf("analyze: span dur %q: %w", e.Dur, err)
 				}
+				if dur > 0 && ts > math.MaxInt64-dur || dur < 0 && ts < math.MinInt64-dur {
+					return nil, fmt.Errorf("analyze: span end %q+%q overflows int64 nanoseconds", e.Ts, e.Dur)
+				}
 				sp.End = ts + dur
 			}
 			if v, ok := argInt(e.Args, "job"); ok {
@@ -146,8 +150,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 
 // parseMicros converts a trace timestamp — whole microseconds with an
 // optional fractional part — back to nanoseconds exactly. Fractions
-// longer than three digits (sub-ns, which obs never emits) are an
-// error rather than a silent truncation.
+// longer than three digits (sub-ns, which obs never emits) and values
+// outside int64 nanoseconds are errors rather than a silent truncation
+// or wrap.
 func parseMicros(s string) (time.Duration, error) {
 	if s == "" {
 		return 0, nil // absent field (e.g. "dur" on a malformed line)
@@ -160,6 +165,9 @@ func parseMicros(s string) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	if us > math.MaxInt64/1000 || us < math.MinInt64/1000 {
+		return 0, fmt.Errorf("timestamp %q overflows int64 nanoseconds", s)
+	}
 	ns := us * 1000
 	if frac != "" {
 		if len(frac) > 3 {
@@ -171,6 +179,9 @@ func parseMicros(s string) (time.Duration, error) {
 		f, err := strconv.ParseInt(frac, 10, 64)
 		if err != nil {
 			return 0, err
+		}
+		if ns > math.MaxInt64-f {
+			return 0, fmt.Errorf("timestamp %q overflows int64 nanoseconds", s)
 		}
 		if ns < 0 {
 			ns -= f

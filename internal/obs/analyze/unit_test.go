@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -20,6 +21,7 @@ func TestParseMicros(t *testing.T) {
 		{"123.456", 123456 * time.Nanosecond},
 		{"1000000", time.Second},
 		{"999999.999", time.Second - time.Nanosecond},
+		{"9223372036854775.807", math.MaxInt64},
 		{"", 0},
 	}
 	for _, c := range cases {
@@ -37,6 +39,11 @@ func TestParseMicros(t *testing.T) {
 	}
 	if _, err := parseMicros("abc"); err == nil {
 		t.Error("garbage timestamp should be rejected, got nil error")
+	}
+	for _, in := range []string{"9300000000000000", "9223372036854775.808", "-9223372036854776"} {
+		if _, err := parseMicros(in); err == nil {
+			t.Errorf("parseMicros(%q): overflow should be rejected, got nil error", in)
+		}
 	}
 }
 

@@ -18,10 +18,4 @@
 // internal/perfbench run the instrumented code with a nil collector and
 // hold the pre-instrumentation ceilings. The guarded-call pattern itself
 // is pinned as a simlint hotalloc golden package (testdata/src/obsguard).
-//
-// The package also absorbs internal/telemetry's event-series API:
-// [Series], [Track], [TrackEvent], [Recorder] and [Probe] are re-exported
-// aliases, so new code has one import for spans, metrics and event tracks
-// while the telemetry CSV/ASCII bytes stay exactly as the determinism
-// tests pin them.
 package obs

@@ -25,7 +25,7 @@ type FaultScenario struct {
 	Fleet FleetScenario
 	Plan  faults.Plan
 	// MaxRetries is the per-job reschedule budget (0 = orchestrator
-	// default).
+	// default; negative, sanitized to -1, = no retries).
 	MaxRetries int
 }
 
@@ -93,12 +93,13 @@ func PlanForFleet(seed int64, fleet FleetScenario) faults.Plan {
 
 // SanitizeFaults maps an arbitrary fault scenario onto the nearest valid
 // one: the fleet scenario sanitized, then the plan sanitized against the
-// bounds that fleet implies. It is idempotent.
+// bounds that fleet implies, and any negative retry budget mapped to -1
+// ("no retries"). It is idempotent.
 func SanitizeFaults(sc FaultScenario) FaultScenario {
 	sc.Fleet = SanitizeFleet(sc.Fleet)
 	sc.Plan = faults.Sanitize(sc.Plan, faultBounds(sc.Fleet))
 	if sc.MaxRetries < 0 {
-		sc.MaxRetries = 0
+		sc.MaxRetries = -1
 	}
 	return sc
 }
