@@ -17,7 +17,15 @@ type Network struct {
 	env   *sim.Env
 	nodes []*Node
 	links []*Link
-	adj   map[NodeID][]dirLink
+	// adj lists each node's usable outgoing directions in link order,
+	// indexed by NodeID. deg counts the links incident to each node, one-way
+	// links included. For a degree-1 node, into holds the ID of its only
+	// link if that link carries traffic into it, else -1. All three grow
+	// with AddNode and Connect; routing uses deg and into to skip
+	// endpoints.
+	adj  [][]dirLink
+	deg  []int32
+	into []int32
 
 	// EndpointOverhead is added once per transfer to model DMA/driver
 	// setup at the endpoints; it dominates small-message p2p latency.
@@ -76,13 +84,17 @@ type Network struct {
 	// finishCompleted (see signalBatch).
 	freeBatches []*signalBatch
 
-	// Dijkstra scratch (see dijkstra): reused across route computations.
+	// Dijkstra scratch (see dijkstra), reused across route misses. djDist
+	// is infinite everywhere except the djTouched nodes, which the next
+	// search clears.
 	djDist    []int64
 	djPrev    []dirLink
-	djHasPrev []bool
-	djVisited []bool
-	djRev     []dirLink
+	djTouched []NodeID
 	djHeap    []heapItem
+	// routeStats counts route misses and search work (see RouteStats).
+	// Plain fields, never registered with obs, so traces and metrics do
+	// not depend on them.
+	routeStats RouteStats
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed
@@ -198,7 +210,6 @@ func (st *constraint) capacity() float64 {
 func NewNetwork(env *sim.Env) *Network {
 	n := &Network{
 		env: env,
-		adj: make(map[NodeID][]dirLink),
 	}
 	n.flushFn = func() {
 		n.ensureAllocated()

@@ -110,14 +110,21 @@ func (d dirLink) to() NodeID {
 	return d.link.A
 }
 
-// addGraphStructures indexes a new link for routing.
+// addGraphStructures indexes a new link for routing: its usable
+// directions join the adjacency lists, and both endpoints' degrees grow.
 func (n *Network) addGraphStructures(l *Link) {
+	toA, toB := int32(-1), int32(-1)
 	if l.CapAtoB > 0 {
 		n.adj[l.A] = append(n.adj[l.A], dirLink{link: l, forward: true})
+		toB = int32(l.ID)
 	}
 	if l.CapBtoA > 0 {
 		n.adj[l.B] = append(n.adj[l.B], dirLink{link: l, forward: false})
+		toA = int32(l.ID)
 	}
+	n.deg[l.A]++
+	n.deg[l.B]++
+	n.into[l.A], n.into[l.B] = toA, toB
 	n.routeCache, n.routes = nil, nil
 }
 
@@ -125,6 +132,9 @@ func (n *Network) addGraphStructures(l *Link) {
 func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, &Node{ID: id, Name: name, Kind: kind})
+	n.adj = append(n.adj, nil)
+	n.deg = append(n.deg, 0)
+	n.into = append(n.into, -1)
 	n.routeCache, n.routes = nil, nil
 	return id
 }
@@ -163,10 +173,10 @@ func (n *Network) ConnectSym(a, b NodeID, cap units.BytesPerSec, latency time.Du
 func (n *Network) Link(id LinkID) *Link { return n.links[id] }
 
 // denseRouteLimit is the node count up to which the route cache is a
-// dense nodes×nodes table indexed directly by (src, dst) — one slice
-// index instead of a map hash per flow start. Larger graphs (the
-// 1000-GPU fleet direction) fall back to the map to avoid a quadratic
-// table.
+// dense nodes×nodes table indexed directly by (src, dst): a cache hit is
+// one slice index instead of a map hash per flow start. Larger graphs
+// (the 1000-GPU fleet direction) keep hits in a map to avoid a quadratic
+// table. Misses run the same search at every size.
 const denseRouteLimit = 256
 
 // routeEntry is one dense-cache slot; path == nil after compute means
@@ -176,23 +186,39 @@ type routeEntry struct {
 	computed bool
 }
 
+// RouteStats counts the routing work a network has done since it was
+// built. Only cache misses count: a hit costs nothing here.
+type RouteStats struct {
+	Misses   int // Route calls that computed a path (or its absence)
+	Searches int // misses that needed a Dijkstra search of the fabric core
+	HeapPops int // frontier pops across those searches
+}
+
+// RouteStats returns the routing work counters.
+func (n *Network) RouteStats() RouteStats { return n.routeStats }
+
 // Route returns the directed links on the preferred path src→dst, or an
-// error if dst is unreachable. Paths minimize total latency with a small
-// per-hop penalty (so that, capacities being equal, fewer switch traversals
-// win — matching real PCIe/NVLink route selection) and are cached.
+// error if dst is unreachable or either ID names no node. Paths minimize
+// total latency with a small per-hop penalty (so that, capacities being
+// equal, fewer switch traversals win — matching real PCIe/NVLink route
+// selection) and are cached.
 //
 //perf:hot
 func (n *Network) Route(src, dst NodeID) ([]dirLink, error) {
+	nn := len(n.nodes)
+	if max(uint(src), uint(dst)) >= uint(nn) {
+		return nil, n.badNodeErr(src, dst)
+	}
 	if src == dst {
 		return nil, nil
 	}
-	if nn := len(n.nodes); nn <= denseRouteLimit {
+	if nn <= denseRouteLimit {
 		if len(n.routes) != nn*nn {
 			n.routes = make([]routeEntry, nn*nn)
 		}
 		e := &n.routes[int(src)*nn+int(dst)]
 		if !e.computed {
-			e.path = n.dijkstra(src, dst)
+			e.path = n.shortestPath(src, dst)
 			e.computed = true
 		}
 		if e.path == nil {
@@ -211,7 +237,7 @@ func (n *Network) Route(src, dst NodeID) ([]dirLink, error) {
 		}
 		return p, nil
 	}
-	p := n.dijkstra(src, dst)
+	p := n.shortestPath(src, dst)
 	n.routeCache[key] = p
 	if p == nil {
 		return nil, n.noPathErr(src, dst)
@@ -223,100 +249,159 @@ func (n *Network) noPathErr(src, dst NodeID) error {
 	return fmt.Errorf("fabric: no path %s → %s", n.nodes[src].Name, n.nodes[dst].Name)
 }
 
+func (n *Network) badNodeErr(src, dst NodeID) error {
+	return fmt.Errorf("fabric: route %d → %d: node ID out of range [0, %d)", src, dst, len(n.nodes))
+}
+
 // hopPenalty breaks ties between equal-latency paths in favor of fewer hops.
 const hopPenalty = 10 * time.Nanosecond
 
-func (n *Network) dijkstra(src, dst NodeID) []dirLink {
-	const inf = math.MaxInt64
-	if len(n.nodes) > denseRouteLimit {
-		return n.dijkstraHeap(src, dst)
-	}
-	// Scratch arrays live on the Network: a fleet composition computes
-	// routes for every endpoint pair, and per-call slices were a measurable
-	// share of setup allocations.
-	n.djReset()
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	dist[src] = 0
-	for {
-		// Linear scan: fabric graphs are tens of nodes, so a heap is
-		// not worth the code.
-		best, bestD := NodeID(-1), int64(inf)
-		for i, d := range dist {
-			if !visited[i] && d < bestD {
-				best, bestD = NodeID(i), d
-			}
+// shortestPath computes the preferred src→dst path on a route-cache miss,
+// or nil if dst is unreachable. It returns exactly the path a Dijkstra
+// search over the whole graph returns — nodes settle in (dist, node)
+// order and a node's predecessor changes only on a strict improvement —
+// while searching only the fabric core:
+//
+//   - A node with one link (a chassis GPU, DRAM or NVMe endpoint) is
+//     never an intermediate hop: link costs are positive, so leaving it
+//     means going back over the link it was entered by. The search never
+//     enqueues one.
+//   - A degree-1 source's first hop and a degree-1 destination's last hop
+//     are forced. Searching from the source's neighbor settles the core in
+//     the same order, every distance shifted by that hop's cost; stopping
+//     when the destination's neighbor settles fixes the same predecessor
+//     chain the full search follows.
+//
+// Two endpoints on the same switch therefore need no search at all.
+func (n *Network) shortestPath(src, dst NodeID) []dirLink {
+	n.routeStats.Misses++
+	var first, last dirLink
+	from, to := src, dst
+	if n.deg[src] == 1 {
+		if len(n.adj[src]) == 0 {
+			return nil // the only link is one-way, into src
 		}
-		if best == -1 {
-			break
-		}
-		if best == dst {
-			break
-		}
-		visited[best] = true
-		for _, dl := range n.adj[best] {
-			cost := int64(dl.link.Latency) + int64(hopPenalty)
-			if nd := dist[best] + cost; nd < dist[dl.to()] {
-				dist[dl.to()] = nd
-				prev[dl.to()] = dl
-				hasPrev[dl.to()] = true
-			}
+		first = n.adj[src][0]
+		from = first.to()
+		if from == dst {
+			return []dirLink{first}
 		}
 	}
-	if !hasPrev[dst] {
-		return nil
+	if n.deg[dst] == 1 {
+		id := n.into[dst]
+		if id < 0 {
+			return nil // the only link is one-way, out of dst
+		}
+		l := n.links[id]
+		last = dirLink{link: l, forward: l.B == dst}
+		to = last.from()
 	}
-	return n.djPath(src, dst)
-}
-
-// djReset (re)sizes and clears the dijkstra scratch arrays.
-func (n *Network) djReset() {
-	const inf = math.MaxInt64
-	if len(n.djDist) < len(n.nodes) {
-		n.djDist = make([]int64, len(n.nodes))
-		n.djPrev = make([]dirLink, len(n.nodes))
-		n.djHasPrev = make([]bool, len(n.nodes))
-		n.djVisited = make([]bool, len(n.nodes))
+	hops := 0
+	if from != to {
+		if !n.dijkstra(from, to) {
+			return nil
+		}
+		for at := to; at != from; at = n.djPrev[at].from() {
+			hops++
+		}
 	}
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = dirLink{}
-		hasPrev[i] = false
-		visited[i] = false
+	if first.link != nil {
+		hops++
 	}
-}
-
-// djPath reconstructs the src→dst path from the prev pointers.
-func (n *Network) djPath(src, dst NodeID) []dirLink {
-	prev := n.djPrev[:len(n.nodes)]
-	rev := n.djRev[:0]
-	for at := dst; at != src; at = prev[at].from() {
-		rev = append(rev, prev[at])
+	if last.link != nil {
+		hops++
 	}
-	n.djRev = rev
-	path := make([]dirLink, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
+	path := make([]dirLink, hops)
+	i := hops
+	if last.link != nil {
+		i--
+		path[i] = last
+	}
+	for at := to; at != from; at = n.djPrev[at].from() {
+		i--
+		path[i] = n.djPrev[at]
+	}
+	if first.link != nil {
+		path[0] = first
 	}
 	return path
 }
 
-// heapItem is one frontier entry in the large-graph dijkstra variant.
+// dijkstra searches from src until dst settles and reports whether it
+// did; the path is then on the djPrev chain from dst. Degree-1 nodes are
+// never enqueued (see shortestPath). dst itself has degree 1 only when it
+// and its neighbor form an isolated pair, which src is outside of and
+// cannot reach anyway. Stale heap
+// entries are skipped by the dist check rather than a decrease-key: a
+// node is pushed once per strict improvement, so only its last entry
+// matches its final distance.
+func (n *Network) dijkstra(src, dst NodeID) bool {
+	n.routeStats.Searches++
+	n.djReset()
+	dist, prev := n.djDist, n.djPrev
+	dist[src] = 0
+	n.djTouched = append(n.djTouched, src)
+	h := heapPush(n.djHeap[:0], heapItem{0, src})
+	found := false
+	for len(h) > 0 {
+		var it heapItem
+		h, it = heapPop(h)
+		n.routeStats.HeapPops++
+		if it.dist != dist[it.node] {
+			continue
+		}
+		if it.node == dst {
+			found = true
+			break
+		}
+		for _, dl := range n.adj[it.node] {
+			v := dl.to()
+			if n.deg[v] == 1 {
+				continue
+			}
+			nd := it.dist + int64(dl.link.Latency) + int64(hopPenalty)
+			if nd < dist[v] {
+				if dist[v] == math.MaxInt64 {
+					n.djTouched = append(n.djTouched, v)
+				}
+				dist[v] = nd
+				prev[v] = dl
+				h = heapPush(h, heapItem{nd, v})
+			}
+		}
+	}
+	n.djHeap = h[:0]
+	return found
+}
+
+// djReset readies the dijkstra scratch: distances are infinite except at
+// the nodes the previous search touched, so only those are cleared.
+// Predecessors are read only where the distance is finite and are left
+// as they are.
+func (n *Network) djReset() {
+	if len(n.djDist) < len(n.nodes) {
+		n.djDist = make([]int64, len(n.nodes))
+		for i := range n.djDist {
+			n.djDist[i] = math.MaxInt64
+		}
+		n.djPrev = make([]dirLink, len(n.nodes))
+	} else {
+		for _, v := range n.djTouched {
+			n.djDist[v] = math.MaxInt64
+		}
+	}
+	n.djTouched = n.djTouched[:0]
+}
+
+// heapItem is one dijkstra frontier entry.
 type heapItem struct {
 	dist int64
 	node NodeID
 }
 
-// heapLess orders the frontier by (dist, node): the node tiebreak makes
-// the heap settle nodes in exactly the order the linear scan does —
-// lowest index among equal distances — so both variants compute
-// identical routes and the choice of variant is invisible to results.
+// heapLess orders the frontier by (dist, node): among equal distances the
+// lowest node index settles first, so routes are a pure function of the
+// graph and never of heap layout.
 func heapLess(a, b heapItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -359,46 +444,6 @@ func heapPop(h []heapItem) ([]heapItem, heapItem) {
 		i = s
 	}
 	return h, top
-}
-
-// dijkstraHeap is the frontier-heap variant used beyond denseRouteLimit:
-// the linear scan's O(V) extract-min is fine at rack scale, but its
-// quadratic total dominates pod-fleet composition (~2k nodes, routes for
-// every endpoint pair). Stale heap entries are skipped via the visited
-// and dist checks rather than a decrease-key.
-func (n *Network) dijkstraHeap(src, dst NodeID) []dirLink {
-	n.djReset()
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	dist[src] = 0
-	h := heapPush(n.djHeap[:0], heapItem{0, src})
-	for len(h) > 0 {
-		var it heapItem
-		h, it = heapPop(h)
-		if visited[it.node] || it.dist != dist[it.node] {
-			continue
-		}
-		if it.node == dst {
-			break
-		}
-		visited[it.node] = true
-		for _, dl := range n.adj[it.node] {
-			cost := int64(dl.link.Latency) + int64(hopPenalty)
-			if nd := it.dist + cost; nd < dist[dl.to()] {
-				dist[dl.to()] = nd
-				prev[dl.to()] = dl
-				hasPrev[dl.to()] = true
-				h = heapPush(h, heapItem{nd, dl.to()})
-			}
-		}
-	}
-	n.djHeap = h[:0]
-	if !hasPrev[dst] {
-		return nil
-	}
-	return n.djPath(src, dst)
 }
 
 // PathLatency returns the one-way latency of the preferred src→dst path
