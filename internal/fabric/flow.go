@@ -109,6 +109,9 @@ type Network struct {
 	// (internal/invariant checks capacity and conservation through it);
 	// the nil check keeps the churn path free.
 	auditor func()
+	// capChanges records SetLinkCapacity calls while an auditor is
+	// installed, for the auditor to drain (see DrainCapacityChanges).
+	capChanges []CapacityChange
 
 	// obs, when set, traces the allocator: every flow's lifetime becomes
 	// one fabric-track span, capacity changes become instants, and
@@ -121,8 +124,31 @@ type Network struct {
 // SetAuditor installs fn to run after every allocation recompute, once the
 // new fair-share rates are assigned. Pass nil to remove it. The auditor
 // must not start or cancel flows; it observes through VisitAllocations,
-// VisitFlows and the link byte counters.
-func (n *Network) SetAuditor(fn func()) { n.auditor = fn }
+// VisitFlows, DrainCapacityChanges and the link byte counters. Installing
+// or removing an auditor forgets any undrained capacity changes.
+func (n *Network) SetAuditor(fn func()) {
+	n.auditor = fn
+	n.capChanges = n.capChanges[:0]
+}
+
+// CapacityChange is one SetLinkCapacity call: the link and the
+// capacities it had before the call.
+type CapacityChange struct {
+	Link             LinkID
+	OldAtoB, OldBtoA units.BytesPerSec
+}
+
+// DrainCapacityChanges returns the capacity changes made since the last
+// drain, oldest first, and forgets them. Changes are recorded only while
+// an auditor is installed; SetLinkCapacity runs the auditor at the
+// instant of the change, so an auditor that drains on every call sees
+// each change at the instant it lands. The returned slice is reused by
+// the next change.
+func (n *Network) DrainCapacityChanges() []CapacityChange {
+	c := n.capChanges
+	n.capChanges = n.capChanges[:0]
+	return c
+}
 
 // SetObs installs an observability collector on the allocator: flow
 // add/remove pairs become spans, SetLinkCapacity emits degrade/repair
@@ -930,6 +956,9 @@ func (n *Network) SetLinkCapacity(id LinkID, capAB, capBA units.BytesPerSec) {
 		}
 		ev := n.obs.Instant(obs.CatFabric, name)
 		n.obs.SetAttr(ev, "link", int64(id))
+	}
+	if n.auditor != nil {
+		n.capChanges = append(n.capChanges, CapacityChange{Link: id, OldAtoB: l.CapAtoB, OldBtoA: l.CapBtoA})
 	}
 	l.CapAtoB, l.CapBtoA = capAB, capBA
 	n.recomputeSync()

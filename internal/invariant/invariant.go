@@ -16,6 +16,40 @@
 //
 // The random-scenario harness (internal/scengen) wires a Set into every
 // run; any violation fails the sweep and the fuzz targets.
+//
+// # Which links a fabric audit checks
+//
+// The fabric auditor (WatchNetwork) runs after every allocation
+// recompute. Its rate checks cover every link direction carrying flows
+// and every flow. Its byte checks cover only the links whose counters or
+// capacity can have moved since the previous audit, so an audit costs
+// what the traffic costs, not what the fabric's size does:
+//
+//   - the links that carried flows at the previous audit;
+//   - the links carrying flows now;
+//   - the links whose capacity changed, and links new to the auditor.
+//
+// Skipping every other link is sound:
+//
+//   - counters move only in the fabric's advance, and only on the paths
+//     of active flows;
+//   - the flow set changes only at instants that are followed by a
+//     same-instant recompute, and so by an audit: between two audits,
+//     counters move only on the paths of the flows present at the
+//     earlier one, which are exactly the links it recorded;
+//   - capacity changes only through SetLinkCapacity, which audits at
+//     that same instant and records the old capacity for the auditor (a
+//     Link's capacity fields are written directly only while a fabric is
+//     built, before any flow starts).
+//
+// A skipped link's counters thus equal those at its last check, and its
+// capacity integral has only grown since, so every check on it would
+// pass again; a link found in violation is reported again whenever it is
+// next touched. Each link's capacity integral advances lazily, by
+// capacity × (now − since), when the link is checked or its capacity
+// changes. Integrating at the capacity in effect since the last change
+// makes it equal, up to float rounding, to the window-by-window integral
+// of a full walk over every link at every audit.
 package invariant
 
 import (
@@ -25,7 +59,6 @@ import (
 	"time"
 
 	"composable/internal/cluster"
-	"composable/internal/fabric"
 	"composable/internal/falcon"
 	"composable/internal/sim"
 	"composable/internal/train"
@@ -55,18 +88,11 @@ type Set struct {
 	// allocate without bound; the count keeps the true total.
 	count int
 
-	// watcher state.
-	lastEvent sim.Time
-	lastTrain sim.Time
-	linkSeen  map[fabric.LinkID][2]units.Bytes
-	// Byte-conservation under capacity changes: the capacity integral is
-	// accumulated audit window by audit window using the capacity that was
-	// in effect during each window (capacity changes — fault degradations
-	// and repairs — always trigger an audit at the instant they land, so a
-	// window never spans a change).
-	lastAudit   sim.Time
-	linkCapInt  map[fabric.LinkID][2]float64
-	linkPrevCap map[fabric.LinkID][2]float64
+	// watcher state. The fabric auditor keeps its state per network (see
+	// netAudit); only its work counters live here.
+	lastEvent  sim.Time
+	lastTrain  sim.Time
+	auditStats AuditStats
 
 	// fleet watcher state (see orchestrator.go). Slot maps are keyed by
 	// global fleet slot index: SlotRefs repeat across the chassis of a pod
@@ -101,13 +127,7 @@ const capacitySlack = 1e-6
 
 // New returns an empty Set.
 func New() *Set {
-	return &Set{
-		lastEvent:   -1,
-		lastTrain:   -1,
-		linkSeen:    make(map[fabric.LinkID][2]units.Bytes),
-		linkCapInt:  make(map[fabric.LinkID][2]float64),
-		linkPrevCap: make(map[fabric.LinkID][2]float64),
-	}
+	return &Set{lastEvent: -1, lastTrain: -1}
 }
 
 // Report records a violation. Exposed so higher layers (metamorphic checks
@@ -155,73 +175,6 @@ func (s *Set) WatchEnv(env *sim.Env) {
 			s.Report("sim/time-monotonic", at, "event at %v dispatched after %v", at, s.lastEvent)
 		}
 		s.lastEvent = at
-	})
-}
-
-// WatchNetwork attaches the allocator audit to a fabric: after every
-// recompute it checks per-direction capacity conservation, per-flow rate
-// sanity, and the monotone growth and capacity integral of the link byte
-// counters. The network's previous auditor, if any, is replaced.
-func (s *Set) WatchNetwork(net *fabric.Network) {
-	env := net.Env()
-	net.SetAuditor(func() {
-		now := env.Now()
-		net.VisitAllocations(func(l *fabric.Link, forward bool, allocated, capacity float64) {
-			if allocated > capacity*(1+capacitySlack)+1 {
-				dir := "A→B"
-				if !forward {
-					dir = "B→A"
-				}
-				s.Report("fabric/link-capacity", now,
-					"link %d %s allocated %.1f B/s over capacity %.1f B/s", l.ID, dir, allocated, capacity)
-			}
-		})
-		net.VisitFlows(func(f *fabric.Flow) {
-			rate := float64(f.Rate())
-			if rate < 0 || math.IsNaN(rate) {
-				s.Report("fabric/flow-rate", now, "flow %d→%d rate %v", f.Src, f.Dst, f.Rate())
-			}
-			if rcap := float64(f.MaxRate()); rcap > 0 && rate > rcap*(1+capacitySlack)+1 {
-				s.Report("fabric/flow-rate-cap", now,
-					"flow %d→%d rate %.1f B/s over cap %.1f B/s", f.Src, f.Dst, rate, rcap)
-			}
-			if f.Remaining() < 0 {
-				s.Report("fabric/flow-remaining", now, "flow %d→%d remaining %v", f.Src, f.Dst, f.Remaining())
-			}
-		})
-		// Capacity integrals, accumulated per audit window. Before the
-		// first audit no flow has ever started (every flow change audits),
-		// so initializing a link's in-effect capacity lazily is exact.
-		dt := (now - s.lastAudit).Seconds()
-		s.lastAudit = now
-		for _, l := range net.Links() {
-			ab, ba := l.BytesAtoB(), l.BytesBtoA()
-			prev := s.linkSeen[l.ID]
-			if ab < prev[0] || ba < prev[1] {
-				s.Report("fabric/bytes-monotonic", now,
-					"link %d counters went backwards: (%v,%v) after (%v,%v)", l.ID, ab, ba, prev[0], prev[1])
-			}
-			s.linkSeen[l.ID] = [2]units.Bytes{ab, ba}
-
-			cap := s.linkPrevCap[l.ID] // capacity in effect during the window
-			if _, seen := s.linkPrevCap[l.ID]; !seen {
-				cap = [2]float64{float64(l.CapAtoB), float64(l.CapBtoA)}
-			}
-			integ := s.linkCapInt[l.ID]
-			integ[0] += cap[0] * dt
-			integ[1] += cap[1] * dt
-			s.linkCapInt[l.ID] = integ
-			s.linkPrevCap[l.ID] = [2]float64{float64(l.CapAtoB), float64(l.CapBtoA)}
-
-			if maxAB := integ[0]*(1+capacitySlack) + 1; float64(ab) > maxAB {
-				s.Report("fabric/bytes-conserved", now,
-					"link %d moved %v A→B, over the %v capacity integral", l.ID, ab, units.Bytes(maxAB))
-			}
-			if maxBA := integ[1]*(1+capacitySlack) + 1; float64(ba) > maxBA {
-				s.Report("fabric/bytes-conserved", now,
-					"link %d moved %v B→A, over the %v capacity integral", l.ID, ba, units.Bytes(maxBA))
-			}
-		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -159,12 +160,13 @@ func TestWatchNetworkAcceptsSanctionedCapacityChange(t *testing.T) {
 }
 
 // TestWatchNetworkDetectsByteOverrun proves the conservation audit is not
-// vacuous. With window-by-window integration the allocator can only trip
-// it through an arithmetic bug (moving more bytes than the in-effect
-// capacity allowed), so the test forges exactly that state white-box:
-// erase the accumulated integral under counters that already carry 100 MB
-// and pin the in-effect capacity near zero — the next audit must flag the
-// history as unaffordable.
+// vacuous. With lazy integration the allocator can only trip it through an
+// arithmetic bug (moving more bytes than the in-effect capacity allowed),
+// so the test forges exactly that state white-box: erase the link's
+// accumulated integral under counters that already carry 100 MB and pin
+// its in-effect capacity near zero from now on. The next transfer makes
+// the link busy, so the next audit checks it and must flag the history as
+// unaffordable.
 func TestWatchNetworkDetectsByteOverrun(t *testing.T) {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env)
@@ -173,13 +175,15 @@ func TestWatchNetworkDetectsByteOverrun(t *testing.T) {
 	id := net.ConnectSym(a, b, units.GBps(10), time.Microsecond, "pcie")
 
 	s := New()
-	s.WatchNetwork(net)
+	audit := s.watchNetwork(net)
 	env.Go("driver", func(p *sim.Proc) {
 		if err := net.Transfer(p, a, b, 100*units.MB); err != nil {
 			panic(err)
 		}
-		s.linkCapInt[id] = [2]float64{}
-		s.linkPrevCap[id] = [2]float64{1, 1} // 1 B/s forever: history unaffordable
+		la := &audit.links[id]
+		la.integ = [2]float64{}
+		la.capa = [2]float64{1, 1} // 1 B/s from now on: history unaffordable
+		la.since = env.Now()
 		if err := net.Transfer(p, b, a, units.KB); err != nil {
 			panic(err)
 		}
@@ -193,6 +197,168 @@ func TestWatchNetworkDetectsByteOverrun(t *testing.T) {
 	if !strings.Contains(s.Err().Error(), "fabric/bytes-conserved") {
 		t.Fatalf("unexpected violations: %v", s.Err())
 	}
+}
+
+// TestWatchNetworkDetectsBackwardsCounters forges the last-seen counters
+// of a link above what it has moved; the audit of the next transfer
+// across it must read that as counters running backwards.
+func TestWatchNetworkDetectsBackwardsCounters(t *testing.T) {
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env)
+	a := net.AddNode("a", fabric.KindGPU)
+	b := net.AddNode("b", fabric.KindGPU)
+	id := net.ConnectSym(a, b, units.GBps(10), time.Microsecond, "pcie")
+
+	s := New()
+	audit := s.watchNetwork(net)
+	env.Go("driver", func(p *sim.Proc) {
+		if err := net.Transfer(p, a, b, 100*units.MB); err != nil {
+			panic(err)
+		}
+		audit.links[id].seen[0] += units.MB
+		if err := net.Transfer(p, a, b, units.KB); err != nil {
+			panic(err)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rules(s); len(got) == 0 || got[0] != "fabric/bytes-monotonic" {
+		t.Fatalf("violations %v, want fabric/bytes-monotonic first: %v", got, s.Err())
+	}
+}
+
+// TestNetworkChecksFire drives each per-direction and per-flow check with
+// a violating value and with a value at its bound: every rule must fire
+// on the first and stay silent on the second.
+func TestNetworkChecksFire(t *testing.T) {
+	nan := units.BytesPerSec(math.NaN())
+	for _, tc := range []struct {
+		rule      string
+		violate   func(a *netAudit)
+		atTheEdge func(a *netAudit)
+	}{
+		{"fabric/link-capacity",
+			func(a *netAudit) { a.checkAllocation(0, false, 2e9+2, 1e9) },
+			func(a *netAudit) { a.checkAllocation(0, true, 1e9, 1e9) }},
+		{"fabric/flow-rate",
+			func(a *netAudit) { a.checkFlow(0, 1, -1, 0, units.MB); a.checkFlow(0, 1, nan, 0, units.MB) },
+			func(a *netAudit) { a.checkFlow(0, 1, 0, 0, units.MB) }},
+		{"fabric/flow-rate-cap",
+			func(a *netAudit) { a.checkFlow(0, 1, 2e9, 1e9, units.MB) },
+			func(a *netAudit) { a.checkFlow(0, 1, 1e9, 1e9, units.MB) }},
+		{"fabric/flow-remaining",
+			func(a *netAudit) { a.checkFlow(0, 1, 1e9, 0, -1) },
+			func(a *netAudit) { a.checkFlow(0, 1, 1e9, 0, 0) }},
+		{"fabric/bytes-monotonic",
+			func(a *netAudit) {
+				a.checkBytes(0, &linkAudit{seen: [2]units.Bytes{10, 0}, integ: [2]float64{1e9, 1e9}}, 9, 0)
+			},
+			func(a *netAudit) {
+				a.checkBytes(0, &linkAudit{seen: [2]units.Bytes{10, 5}, integ: [2]float64{1e9, 1e9}}, 10, 5)
+			}},
+		{"fabric/bytes-conserved",
+			func(a *netAudit) { a.checkBytes(0, &linkAudit{integ: [2]float64{1e9, 1e9}}, 0, 1e9+units.KB) },
+			func(a *netAudit) { a.checkBytes(0, &linkAudit{integ: [2]float64{1e9, 1e9}}, 1e9, 1e9) }},
+	} {
+		t.Run(tc.rule, func(t *testing.T) {
+			s := New()
+			a := s.watchNetwork(fabric.NewNetwork(sim.NewEnv()))
+			tc.atTheEdge(a)
+			if !s.Ok() {
+				t.Fatalf("value at the bound flagged: %v", s.Err())
+			}
+			tc.violate(a)
+			got := rules(s)
+			if len(got) == 0 {
+				t.Fatal("violation not detected")
+			}
+			for _, r := range got {
+				if r != tc.rule {
+					t.Fatalf("violations %v, want only %s", got, tc.rule)
+				}
+			}
+		})
+	}
+}
+
+// TestWatchTwoNetworksKeepsLinksApart watches two fabrics with one Set.
+// Both number their only link 0; an auditor keyed by LinkID alone would
+// compare the idle network's counters against the busy one's and report
+// them running backwards.
+func TestWatchTwoNetworksKeepsLinksApart(t *testing.T) {
+	env := sim.NewEnv()
+	s := New()
+	type pair struct {
+		net  *fabric.Network
+		a, b fabric.NodeID
+	}
+	var nets [2]pair
+	for i := range nets {
+		net := fabric.NewNetwork(env)
+		a := net.AddNode("a", fabric.KindGPU)
+		b := net.AddNode("b", fabric.KindGPU)
+		net.ConnectSym(a, b, units.GBps(10), time.Microsecond, "pcie")
+		s.WatchNetwork(net)
+		nets[i] = pair{net, a, b}
+	}
+	env.Go("driver", func(p *sim.Proc) {
+		for _, n := range nets {
+			if err := n.net.Transfer(p, n.a, n.b, 100*units.MB); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("two watched networks interfered: %v", err)
+	}
+}
+
+// TestNetworkAuditAllocatesNothing pins the auditor's steady state: with
+// flows in flight and every link known, an audit allocates nothing.
+func TestNetworkAuditAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env)
+	sw := net.AddNode("sw", fabric.KindSwitch)
+	var eps []fabric.NodeID
+	for i := 0; i < 4; i++ {
+		eps = append(eps, net.AddNode("ep", fabric.KindGPU))
+		net.ConnectSym(eps[i], sw, units.GBps(10), time.Microsecond, "pcie")
+	}
+	s := New()
+	audit := s.watchNetwork(net)
+	allocs := -1.0
+	env.Go("driver", func(p *sim.Proc) {
+		for i := range eps {
+			if _, err := net.StartFlowLimited(eps[i], eps[(i+1)%4], units.GB, units.GBps(4)); err != nil {
+				panic(err)
+			}
+		}
+		p.Sleep(time.Millisecond)
+		audit.audit()
+		allocs = testing.AllocsPerRun(100, audit.audit)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state audit allocates %v times, want 0", allocs)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rules lists the rule of every retained violation, in order.
+func rules(s *Set) []string {
+	var out []string
+	for _, v := range s.Violations() {
+		out = append(out, v.Rule)
+	}
+	return out
 }
 
 // TestFullRunCleanUnderWatch runs a real (small) training job with every
