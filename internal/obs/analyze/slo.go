@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -50,7 +51,9 @@ var scalarMetrics = map[string]bool{
 // Duration bounds use Go duration syntax; goodput is delivered
 // GPU-seconds per second of makespan; util is the 0..1 fleet
 // utilization; max-failed / max-kills bound abandoned jobs and kill
-// events. "utilization" is accepted as an alias for "util".
+// events. "utilization" is accepted as an alias for "util". Scalar
+// bounds must be finite: NaN or ±Inf would make a clause that always
+// fails or always passes, so they are an error.
 func ParseSLO(spec string) (SLO, error) {
 	slo := SLO{Source: strings.TrimSpace(spec)}
 	fields := strings.FieldsFunc(spec, func(r rune) bool {
@@ -88,6 +91,9 @@ func ParseSLO(spec string) (SLO, error) {
 			v, err := strconv.ParseFloat(bound, 64)
 			if err != nil {
 				return SLO{}, fmt.Errorf("slo clause %q: bad number %q: %v", f, bound, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return SLO{}, fmt.Errorf("slo clause %q: bound %q is not a finite number", f, bound)
 			}
 			th.Val = v
 		default:

@@ -134,7 +134,8 @@ func TestParseSLO(t *testing.T) {
 		t.Errorf("max-failed parsed wrong: %+v", c)
 	}
 
-	for _, bad := range []string{"p99-wait<800ms", "nope<=1s", "p99-wait<=fast", "goodput>=abc"} {
+	for _, bad := range []string{"p99-wait<800ms", "nope<=1s", "p99-wait<=fast", "goodput>=abc",
+		"goodput>=NaN", "max-failed<=+Inf", "util>=-inf", "kills<=infinity", "goodput>=1e400"} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q): want error, got nil", bad)
 		}

@@ -2,6 +2,19 @@
 // span tracing, sampled metrics, and deterministic exporters, built for
 // the same two contracts the rest of the repo lives under.
 //
+// Metrics live in a [Registry] (counters and gauges, in registration
+// order). [Sampler] is the one periodic sampler, the stand-in for the
+// paper's probe sweeps (wandb system metrics, nvidia-smi, the Falcon
+// port monitors): a sim stepper that, every interval, snapshots every
+// metric into columnar rows — one shared times column plus one value
+// column per metric. A [Collector] samples the fleet-wide registry with
+// one; each training run samples its five probes with its own.
+// [Sampler.Series] returns a [Series] view of one metric (stats,
+// Sparkline, CSV), the data behind the utilization figures. A [Track]
+// is an annotated event lane (checkpoints, faults, kills) with CSV and
+// an ASCII Timeline; the instrumented code records into it directly, so
+// it works with or without a Collector.
+//
 // Determinism: nothing in this package reads the wall clock or iterates a
 // map. Spans are stored in begin order, metrics in registration order, and
 // samples on a fixed sim-time interval, so every exporter —

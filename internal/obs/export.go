@@ -41,9 +41,9 @@ func appendAttrs(b []byte, attrs []attrVal) []byte {
 
 // appendSpanEvent renders one span or instant as a trace_event line.
 // Still-open spans (a permanent fault, a proc alive at exit) are closed
-// at the collector's max observed time so they render with their true
-// extent instead of vanishing.
-func (c *Collector) appendSpanEvent(b []byte, s *span) []byte {
+// at maxTime, the collector's max observed time, so they render with
+// their true extent instead of vanishing.
+func appendSpanEvent(b []byte, s *span, maxTime sim.Time) []byte {
 	if s.instant {
 		b = append(b, `{"ph":"i","pid":1,"tid":`...)
 	} else {
@@ -55,7 +55,7 @@ func (c *Collector) appendSpanEvent(b []byte, s *span) []byte {
 	if !s.instant {
 		end := s.end
 		if s.open {
-			end = c.maxTime
+			end = maxTime
 		}
 		b = append(b, `,"dur":`...)
 		b = appendMicros(b, end-s.start)
@@ -106,26 +106,28 @@ func (c *Collector) writeTrace(w io.Writer, keep func(*span) bool) error {
 		b = append(b, "}}"...)
 	}
 	// Spans and instants, in begin order.
+	maxTime := c.MaxTime()
 	for i := range c.spans {
 		s := &c.spans[i]
 		if keep != nil && !keep(s) {
 			continue
 		}
 		b = append(b, ",\n"...)
-		b = c.appendSpanEvent(b, s)
+		b = appendSpanEvent(b, s, maxTime)
 	}
 	// Metric samples as counter tracks, tick-major then registration
 	// order — never a map walk.
 	if keep == nil {
-		for k := range c.times {
-			for m := range c.cols {
+		smp := &c.smp
+		for k, at := range smp.times {
+			for m := range smp.cols {
 				b = append(b, ",\n"...)
 				b = append(b, `{"ph":"C","pid":1,"ts":`...)
-				b = appendMicros(b, c.times[k])
+				b = appendMicros(b, at)
 				b = append(b, `,"name":`...)
 				b = strconv.AppendQuote(b, c.reg.Name(m))
 				b = append(b, `,"args":{"value":`...)
-				b = strconv.AppendFloat(b, c.cols[m][k], 'g', -1, 64)
+				b = strconv.AppendFloat(b, smp.cols[m][k], 'g', -1, 64)
 				b = append(b, "}}"...)
 			}
 		}
@@ -153,20 +155,22 @@ func (c *Collector) WriteTraceFiltered(w io.Writer, key string, val int64) error
 }
 
 // WriteMetricsCSV renders the sampled metrics as one columnar CSV:
-// a time_s column followed by one column per metric in registration
-// order, matching telemetry's %.3f/%.6f cell formats.
+// a time_s column followed by one column per sampled metric in
+// registration order, in Series.CSV's %.3f/%.6f cell formats. Metrics
+// registered after sampling started have no column.
 func (c *Collector) WriteMetricsCSV(w io.Writer) error {
+	smp := &c.smp
 	var sb strings.Builder
 	sb.WriteString("time_s")
-	for m := 0; m < c.reg.Len(); m++ {
+	for _, name := range smp.Names() {
 		sb.WriteByte(',')
-		sb.WriteString(c.reg.Name(m))
+		sb.WriteString(name)
 	}
 	sb.WriteByte('\n')
-	for k := range c.times {
-		fmt.Fprintf(&sb, "%.3f", c.times[k].Seconds())
-		for m := range c.cols {
-			fmt.Fprintf(&sb, ",%.6f", c.cols[m][k])
+	for k, at := range smp.times {
+		fmt.Fprintf(&sb, "%.3f", at.Seconds())
+		for m := range smp.cols {
+			fmt.Fprintf(&sb, ",%.6f", smp.cols[m][k])
 		}
 		sb.WriteByte('\n')
 	}
@@ -187,30 +191,20 @@ func (c *Collector) Summary() string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "obs: %d spans, %d samples over %s\n",
-		len(c.spans), len(c.times), c.maxTime)
+		len(c.spans), c.smp.Len(), c.MaxTime())
 	for i := 0; i < int(numCats); i++ {
 		if spans[i] == 0 && instants[i] == 0 {
 			continue
 		}
 		fmt.Fprintf(&sb, "  %-12s %5d spans %5d instants\n", catNames[i], spans[i], instants[i])
 	}
-	for m := range c.cols {
-		col := c.cols[m]
-		if len(col) == 0 {
+	for _, name := range c.smp.Names() {
+		s := c.smp.Series(name)
+		if s.Len() == 0 {
 			continue
 		}
-		lo, hi, sum := col[0], col[0], 0.0
-		for _, v := range col {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			sum += v
-		}
 		fmt.Fprintf(&sb, "  %-24s min %.3f mean %.3f max %.3f\n",
-			c.reg.Name(m), lo, sum/float64(len(col)), hi)
+			s.Name, s.Min(), s.Mean(), s.Max())
 	}
 	return sb.String()
 }

@@ -184,3 +184,41 @@ func TestSamplerStopsQueue(t *testing.T) {
 		t.Fatal("env.Run did not drain after StopSampling")
 	}
 }
+
+// TestMetricsCSVLateMetric pins the column set of the metrics CSV and
+// the Summary: a gauge registered after StartSampling has no sampled
+// column, so it must not appear in the header or the summary rows
+// either, and every row must have as many cells as the header.
+func TestMetricsCSVLateMetric(t *testing.T) {
+	env := sim.NewEnv()
+	c := NewCollector()
+	c.Attach(env)
+	c.StartSampling()
+	c.Registry().Gauge("late", func() float64 { return 1 })
+	env.Go("stopper", func(p *sim.Proc) {
+		p.Sleep(3*DefaultInterval + DefaultInterval/2)
+		c.StopSampling()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := c.WriteMetricsCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if lines[0] != "time_s,sim.events,sim.procs" {
+		t.Fatalf("CSV header = %q, want only the sampled columns", lines[0])
+	}
+	if len(lines) != 1+c.SampleCount() || c.SampleCount() != 3 {
+		t.Fatalf("%d CSV rows over %d samples, want 3", len(lines)-1, c.SampleCount())
+	}
+	for _, row := range lines[1:] {
+		if got, want := strings.Count(row, ","), strings.Count(lines[0], ","); got != want {
+			t.Fatalf("row %q has %d separators, header has %d", row, got, want)
+		}
+	}
+	if strings.Contains(c.Summary(), "late") {
+		t.Errorf("Summary reports the unsampled metric:\n%s", c.Summary())
+	}
+}

@@ -1,10 +1,4 @@
-// Package telemetry samples system-level metrics from a running simulation
-// the way the paper's tooling (Weights & Biases, nvidia-smi, the Falcon
-// port monitors) samples the real test bed: a periodic probe sweep over
-// GPU utilization, GPU memory, CPU, host memory and PCIe port traffic.
-// Series can be summarized, exported as CSV, or rendered as ASCII charts
-// (the repo's stand-in for the paper's utilization figures).
-package telemetry
+package obs
 
 import (
 	"fmt"
@@ -16,16 +10,13 @@ import (
 	"composable/internal/sim"
 )
 
-// Series is one sampled metric.
+// Series is one sampled metric: the sample times and the values taken at
+// them. A Series returned by Sampler.Series is a read-only view over the
+// sampler's shared time column and the metric's value column.
 type Series struct {
 	Name   string
-	Times  []time.Duration
+	Times  []sim.Time
 	Values []float64
-}
-
-func (s *Series) append(t time.Duration, v float64) {
-	s.Times = append(s.Times, t)
-	s.Values = append(s.Values, v)
 }
 
 // Len returns the sample count.
@@ -226,105 +217,4 @@ func (t *Track) Timeline(width int, span time.Duration) string {
 		}
 	}
 	return string(marks)
-}
-
-// Probe is one metric source sampled each interval.
-type Probe struct {
-	Name   string
-	Sample func() float64
-}
-
-// Recorder periodically sweeps its probes inside a simulation.
-type Recorder struct {
-	env      *sim.Env
-	interval time.Duration
-	probes   []Probe
-	series   map[string]*Series
-	tracks   []*Track
-	stopped  bool
-	sp       *sim.Proc // sampling stepper (see Start)
-	primed   bool      // first step only arms the first tick
-}
-
-// NewRecorder creates a recorder sampling every interval of virtual time.
-func NewRecorder(env *sim.Env, interval time.Duration) *Recorder {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	return &Recorder{env: env, interval: interval, series: make(map[string]*Series)}
-}
-
-// AddTrack registers (and returns) an annotated event track. Unlike
-// probes, tracks are written by the instrumented code itself (a training
-// loop recording checkpoints, a fault engine recording failures), not
-// sampled.
-func (r *Recorder) AddTrack(name string) *Track {
-	t := NewTrack(name)
-	r.tracks = append(r.tracks, t)
-	return t
-}
-
-// Track returns the named track (nil if unknown).
-func (r *Recorder) Track(name string) *Track {
-	for _, t := range r.tracks {
-		if t.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
-// Tracks returns the registered tracks in registration order.
-func (r *Recorder) Tracks() []*Track { return r.tracks }
-
-// AddProbe registers a metric source. Must be called before Start.
-func (r *Recorder) AddProbe(name string, sample func() float64) {
-	r.probes = append(r.probes, Probe{Name: name, Sample: sample})
-	r.series[name] = &Series{Name: name}
-}
-
-// Start spawns the sampling process. It runs until Stop is called.
-//
-// The sampler is a stepper, not a goroutine-backed process: each tick is
-// one inline step (sample every probe, re-arm) instead of a park/wake
-// pair, and the step events occupy the exact (timestamp, seq) positions
-// the previous Sleep-loop implementation's wakes did.
-func (r *Recorder) Start() {
-	r.sp = r.env.NewStepper("telemetry", r.step)
-	r.primed = false
-	r.env.Ready(r.sp)
-}
-
-//perf:hot
-func (r *Recorder) step() {
-	if r.stopped {
-		return
-	}
-	if !r.primed {
-		// Spawn position: the old implementation slept before its first
-		// sample, so the first step only arms the first tick.
-		r.primed = true
-		r.env.ReadyAfter(r.sp, r.interval)
-		return
-	}
-	now := r.env.Now()
-	for _, pr := range r.probes {
-		r.series[pr.Name].append(now, pr.Sample())
-	}
-	r.env.ReadyAfter(r.sp, r.interval)
-}
-
-// Stop ends sampling after the current interval elapses.
-func (r *Recorder) Stop() { r.stopped = true }
-
-// Series returns the named series (nil if unknown).
-func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns the probe names in registration order.
-func (r *Recorder) Names() []string {
-	out := make([]string, 0, len(r.probes))
-	for _, p := range r.probes {
-		out = append(out, p.Name)
-	}
-	return out
 }

@@ -137,9 +137,9 @@ func TestCheckpointsPerEpochOverride(t *testing.T) {
 func TestLifecycleTrackRecordsEvents(t *testing.T) {
 	opts := quickOpts(dlmodel.ResNet50Workload())
 	res := runOn(t, cluster.LocalGPUsConfig(), opts)
-	track := res.Recorder.Track(TrackEvents)
-	if track == nil {
-		t.Fatal("no lifecycle track on the recorder")
+	track := res.Track
+	if track == nil || track.Name != TrackEvents {
+		t.Fatalf("lifecycle track = %+v, want one named %q", track, TrackEvents)
 	}
 	byKind := map[string]int{}
 	for _, e := range track.Events {

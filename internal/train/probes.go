@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"composable/internal/cluster"
+	"composable/internal/obs"
 	"composable/internal/sim"
-	"composable/internal/telemetry"
 	"composable/internal/units"
 )
 
@@ -18,28 +18,23 @@ const (
 	SeriesFalconGBps = "falcon_pcie_gbps"
 )
 
-// TrackEvents is the recorder's annotated event track: training lifecycle
-// marks (epoch, checkpoint, restore, done/abort) recorded alongside the
-// gauge series, so figures and CSV exports can overlay when checkpoints
-// and faults happened on the utilization curves.
+// TrackEvents names the run's annotated event track (Result.Track):
+// training lifecycle marks (epoch, checkpoint, restore, done/abort)
+// recorded alongside the sampled series, so figures and CSV exports can
+// overlay when checkpoints and faults happened on the utilization curves.
 const TrackEvents = "events"
 
-// recorder wires the telemetry probes the paper's tooling collected:
-// windowed GPU utilization (nvidia-smi), GPU memory, host CPU and memory
-// (wandb system metrics) and Falcon port traffic (chassis GUI), plus the
-// annotated lifecycle event track.
-type recorder struct {
-	rec    *telemetry.Recorder
-	events *telemetry.Track
-}
-
-func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
-	rec := telemetry.NewRecorder(sys.Env, interval)
+// startProbes registers the probes the paper's tooling collected as
+// gauges on a per-run registry — windowed GPU utilization (nvidia-smi),
+// GPU memory, host CPU and memory (wandb system metrics) and Falcon port
+// traffic (chassis GUI) — and starts sampling them every interval.
+func startProbes(sys *cluster.System, interval time.Duration) *obs.Sampler {
+	reg := &obs.Registry{}
 
 	// GPU utilization: windowed busy fraction averaged across devices.
 	type snap struct{ t, busy sim.Time }
 	gpuMarks := make([]snap, len(sys.GPUs))
-	rec.AddProbe(SeriesGPUUtil, func() float64 {
+	reg.Gauge(SeriesGPUUtil, func() float64 {
 		sum := 0.0
 		for i, g := range sys.GPUs {
 			u := g.UtilizationSince(gpuMarks[i].t, gpuMarks[i].busy)
@@ -48,7 +43,7 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 		}
 		return sum / float64(len(sys.GPUs))
 	})
-	rec.AddProbe(SeriesGPUMemUtil, func() float64 {
+	reg.Gauge(SeriesGPUMemUtil, func() float64 {
 		sum := 0.0
 		for _, g := range sys.GPUs {
 			sum += g.MemUtilization()
@@ -56,17 +51,17 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 		return sum / float64(len(sys.GPUs))
 	})
 	var cpuMark snap
-	rec.AddProbe(SeriesCPUUtil, func() float64 {
+	reg.Gauge(SeriesCPUUtil, func() float64 {
 		u := sys.Host.UtilizationSince(cpuMark.t, cpuMark.busy)
 		cpuMark.t, cpuMark.busy = sys.Host.BusySnapshot()
 		return u
 	})
-	rec.AddProbe(SeriesHostMem, func() float64 { return sys.Host.MemUtilization() })
+	reg.Gauge(SeriesHostMem, func() float64 { return sys.Host.MemUtilization() })
 
 	if len(sys.FalconGPUPortLinks) > 0 {
 		last := make(map[int]units.Bytes)
 		var lastT sim.Time
-		rec.AddProbe(SeriesFalconGBps, func() float64 {
+		reg.Gauge(SeriesFalconGBps, func() float64 {
 			now := sys.Env.Now()
 			dt := (now - lastT).Seconds()
 			var delta units.Bytes
@@ -84,30 +79,7 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 			return float64(delta) * pcieWireOverhead / dt / 1e9
 		})
 	}
-	rec.Start()
-	return &recorder{rec: rec, events: rec.AddTrack(TrackEvents)}
-}
-
-func (r *recorder) stop() { r.rec.Stop() }
-
-// event annotates the lifecycle track.
-func (r *recorder) event(at time.Duration, kind, label string) {
-	r.events.Record(at, kind, label)
-}
-
-// fill copies the series means into the result.
-func (r *recorder) fill(res *Result) {
-	res.Recorder = r.rec
-	if s := r.rec.Series(SeriesGPUUtil); s != nil {
-		res.AvgGPUUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesGPUMemUtil); s != nil {
-		res.AvgGPUMemUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesCPUUtil); s != nil {
-		res.AvgCPUUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesHostMem); s != nil {
-		res.AvgHostMemUtil = s.Mean()
-	}
+	smp := obs.NewSampler(sys.Env, reg, interval)
+	smp.Start()
+	return smp
 }
