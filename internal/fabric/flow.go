@@ -49,11 +49,14 @@ type Network struct {
 	// churn.
 	linkCons []*constraint
 	cons     []*constraint
-	// liveCons is recomputeNow's scratch: the constraints still carrying
-	// unfrozen flows, compacted between waterfill rounds so late rounds
-	// scan only survivors instead of the whole active set. Compaction
-	// preserves relative order, so equal-share ties resolve exactly as a
-	// full scan would.
+	// liveCons is the fill's one scratch slice, in three roles. Between
+	// recomputes it lists the constraints a change touched (see
+	// markDirty). recomputeNow first walks their components with it as
+	// the stack, then refills it with the walked constraints in cons
+	// order, compacting out those whose flows all froze between waterfill
+	// rounds so late rounds scan only survivors. Compaction preserves
+	// relative order, so equal-share ties resolve exactly as a full scan
+	// would.
 	liveCons []*constraint
 
 	// freeFlows recycles Flow structs whose transfer fully completed and
@@ -95,6 +98,9 @@ type Network struct {
 	// Plain fields, never registered with obs, so traces and metrics do
 	// not depend on them.
 	routeStats RouteStats
+	// fillStats counts max-min fill work (see FillStats), likewise never
+	// registered with obs.
+	fillStats FillStats
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed
@@ -189,6 +195,18 @@ func (n *Network) VisitFlows(fn func(f *Flow)) {
 	}
 }
 
+// FillStats counts the max-min fill work a network has done since it was
+// built. The counts are a pure function of the code and the workload.
+type FillStats struct {
+	Recomputes       int // allocation recomputes, including ones with no flows
+	Rounds           int // fill rounds, each freezing one constraint's flows
+	ConstraintVisits int // constraints examined by the rounds' min-share scans
+	FlowsRefilled    int // flows assigned a fresh rate
+}
+
+// FillStats returns the fill work counters.
+func (n *Network) FillStats() FillStats { return n.fillStats }
+
 // constraint is one capacity limit in the max-min allocation: a direction
 // of a link, or a flow's own rate cap (a virtual single-flow link).
 // Constraints persist across recomputes; residual and unfrozen are
@@ -201,6 +219,11 @@ type constraint struct {
 	flows    []conFlow
 	residual float64
 	unfrozen int
+	// stamp is the allocation epoch whose fill covers this constraint:
+	// markDirty sets it to the coming epoch, and recomputeNow's walk to
+	// the current one for every constraint of a touched component. It
+	// replaces a dirty set and a visited set.
+	stamp uint64
 	// active tracks membership in Network.cons so a constraint is never
 	// listed twice; it stays set while the constraint sits in cons, even
 	// after its last flow leaves, until a recompute sweeps it out.
@@ -385,6 +408,7 @@ func (n *Network) addFlow(f *Flow) {
 	}
 	for _, dl := range f.path {
 		st := n.linkConstraint(dl)
+		n.markDirty(st)
 		st.flows = append(st.flows, conFlow{f: f, back: len(f.cons)})
 		if !st.active {
 			st.active = true
@@ -398,6 +422,7 @@ func (n *Network) addFlow(f *Flow) {
 			st = &constraint{}
 			f.capCon = st
 		}
+		n.markDirty(st)
 		st.capped = f.maxRate
 		st.flows = append(st.flows[:0], conFlow{f: f, back: len(f.cons)})
 		capIdx := 0
@@ -432,6 +457,7 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows = n.flows[:last]
 	for ci, fc := range f.cons {
 		st := fc.st
+		n.markDirty(st)
 		i := fc.idx
 		m := len(st.flows) - 1
 		moved := st.flows[m]
@@ -442,6 +468,17 @@ func (n *Network) removeFlow(f *Flow) {
 		f.cons[ci] = flowCon{}
 	}
 	f.cons = f.cons[:0]
+}
+
+// markDirty queues st for the next recompute's fill: the flows of its
+// component get fresh rates, every other flow keeps its own.
+//
+//perf:hot
+func (n *Network) markDirty(st *constraint) {
+	if st.stamp != n.epoch+1 {
+		st.stamp = n.epoch + 1
+		n.liveCons = append(n.liveCons, st)
+	}
 }
 
 // linkConstraint returns the persistent constraint for one link direction,
@@ -660,6 +697,18 @@ func (n *Network) advance() {
 // stamp on each flow, and per-constraint unfrozen counts replace the
 // per-round rescans of every constraint's flow list.
 //
+// It is also incremental in its work: a max-min allocation separates by
+// connected component of the flow–constraint graph, so only the
+// components holding a constraint that a flow start, a flow completion or
+// a capacity change touched are refilled; every other flow keeps its
+// rate. The result is bit-identical to a fill of every flow. In the
+// global fill a component's residuals change only in the rounds one of
+// its own constraints wins, and that constraint is also the first
+// minimum-share constraint of the component in cons order, so the
+// component's float operations run in the same sequence either way. An
+// untouched component has the same capacities and flow lists as at its
+// last fill, so the global fill would give it the same rates again.
+//
 //perf:hot
 func (n *Network) recompute() {
 	if n.recomputeQueued {
@@ -693,7 +742,9 @@ func (n *Network) ensureAllocated() {
 }
 
 // recomputeNow is the deferred body of recompute; it runs once per
-// instant that requested one, via flushFn.
+// instant that requested one, via flushFn. It walks the components
+// reachable from the constraints markDirty listed, then runs the
+// progressive fill over their constraints only, in cons order.
 //
 //perf:hot
 func (n *Network) recomputeNow() {
@@ -701,24 +752,56 @@ func (n *Network) recomputeNow() {
 		n.obs.Inc(n.obsRecompute)
 	}
 	n.epoch++
+	n.fillStats.Recomputes++
 	if len(n.flows) == 0 {
+		n.liveCons = n.liveCons[:0]
 		if n.auditor != nil {
 			n.auditor()
 		}
 		return
 	}
 
-	// Refresh the active constraints for this epoch, sweeping out the
-	// ones whose last flow has left.
+	// Collect the touched components: every listed constraint already
+	// carries this epoch's stamp, and the walk stamps each one it
+	// reaches. A flow is counted, and its other constraints reached, only
+	// from its first constraint, so no flow needs a mark of its own.
+	comp := 0
+	stack := n.liveCons
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, cf := range st.flows {
+			fcs := cf.f.cons
+			if cf.back != 0 {
+				fcs = fcs[:1]
+			} else {
+				comp++
+				fcs = fcs[1:]
+			}
+			for _, fc := range fcs {
+				if fc.st.stamp != n.epoch {
+					fc.st.stamp = n.epoch
+					stack = append(stack, fc.st)
+				}
+			}
+		}
+	}
+
+	// Sweep out the constraints whose last flow has left, and refresh the
+	// touched components' constraints for this epoch.
 	cons := n.cons[:0]
+	live := stack[:0]
 	for _, st := range n.cons {
 		if len(st.flows) == 0 {
 			st.active = false
 			continue
 		}
-		st.residual = st.capacity()
-		st.unfrozen = len(st.flows)
 		cons = append(cons, st)
+		if st.stamp == n.epoch {
+			st.residual = st.capacity()
+			st.unfrozen = len(st.flows)
+			live = append(live, st)
+		}
 	}
 	for i := len(cons); i < len(n.cons); i++ {
 		n.cons[i] = nil
@@ -728,18 +811,18 @@ func (n *Network) recomputeNow() {
 	// Progressive filling: repeatedly find the most constrained
 	// constraint (smallest fair share among its unfrozen flows), freeze
 	// those flows at that share, remove their demand, repeat. Every
-	// admitted flow sits on at least one constraint and each round
+	// refilled flow sits on at least one live constraint and each round
 	// freezes every flow of the winning constraint, so the loop below
-	// assigns every flow's rate — no reset pass is needed first.
-	frozen := 0
-	live := append(n.liveCons[:0], cons...)
-	for frozen < len(n.flows) {
+	// assigns every refilled flow's rate — no reset pass is needed first.
+	frozen, rounds, visits := 0, 0, 0
+	for frozen < comp {
 		bestShare := math.Inf(1)
 		var best *constraint
 		// Scan for the minimum share, compacting out constraints whose
 		// flows all froze in earlier rounds as we go: collective-heavy
 		// runs freeze most constraints in the first round or two, so late
 		// rounds scan a short tail instead of the whole active set.
+		visits += len(live)
 		w := 0
 		for _, st := range live {
 			if st.unfrozen == 0 {
@@ -756,6 +839,7 @@ func (n *Network) recomputeNow() {
 		if best == nil {
 			break
 		}
+		rounds++
 		for _, cf := range best.flows {
 			f := cf.f
 			if f.frozenEpoch == n.epoch {
@@ -775,6 +859,9 @@ func (n *Network) recomputeNow() {
 		}
 	}
 	n.liveCons = live[:0]
+	n.fillStats.Rounds += rounds
+	n.fillStats.ConstraintVisits += visits
+	n.fillStats.FlowsRefilled += frozen
 
 	// Schedule the next completion.
 	nextIn := math.Inf(1)
@@ -961,19 +1048,12 @@ func (n *Network) SetLinkCapacity(id LinkID, capAB, capBA units.BytesPerSec) {
 		n.capChanges = append(n.capChanges, CapacityChange{Link: id, OldAtoB: l.CapAtoB, OldBtoA: l.CapBtoA})
 	}
 	l.CapAtoB, l.CapBtoA = capAB, capBA
-	n.recomputeSync()
-}
-
-// Traverses reports whether the flow's path crosses the link (either
-// direction). The fault-aware invariant probes use it to assert no live
-// flow rides a dead device's link.
-func (f *Flow) Traverses(id LinkID) bool {
-	for _, dl := range f.path {
-		if dl.link.ID == id {
-			return true
+	for _, st := range n.linkCons[2*id : 2*id+2] {
+		if st != nil {
+			n.markDirty(st)
 		}
 	}
-	return false
+	n.recomputeSync()
 }
 
 // ActiveFlows returns the number of in-flight flows.
