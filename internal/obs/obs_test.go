@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,41 @@ func TestRegistryText(t *testing.T) {
 	want := "alpha_total 42\nbeta 2.5\n"
 	if sb.String() != want {
 		t.Fatalf("WriteText = %q, want %q", sb.String(), want)
+	}
+}
+
+// TestRegistryLookupAcrossIndexing registers metrics one at a time past
+// the size where the registry starts indexing names, and checks after
+// each registration that every name, including the first and the newest,
+// resolves to its own metric and that unknown names do not resolve.
+func TestRegistryLookupAcrossIndexing(t *testing.T) {
+	var r Registry
+	var ids []CounterID
+	for n := 1; n <= 3*smallRegistry; n++ {
+		ids = append(ids, r.Counter(fmt.Sprintf("c%d", n)))
+		r.Add(ids[n-1], int64(n))
+		if indexed := r.index != nil; indexed != (n > smallRegistry) {
+			t.Fatalf("%d metrics: indexed=%v", n, indexed)
+		}
+		for i, id := range ids {
+			name := fmt.Sprintf("c%d", i+1)
+			if got := r.Counter(name); got != id {
+				t.Fatalf("%d metrics: Counter(%q) = %d, want %d", n, name, got, id)
+			}
+			if got := r.CounterValue(name); got != int64(i+1) {
+				t.Fatalf("%d metrics: CounterValue(%q) = %d, want %d", n, name, got, i+1)
+			}
+		}
+		if i := r.lookup("missing"); i != -1 {
+			t.Fatalf("%d metrics: lookup(missing) = %d, want -1", n, i)
+		}
+	}
+	if r.Len() != 3*smallRegistry {
+		t.Fatalf("Len = %d, want %d", r.Len(), 3*smallRegistry)
+	}
+	r.Gauge("c1", func() float64 { return 7 })
+	if got := r.value(0); got != 7 || r.Len() != 3*smallRegistry {
+		t.Fatalf("re-registered c1 as a gauge: value %v, Len %d", got, r.Len())
 	}
 }
 

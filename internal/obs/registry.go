@@ -35,30 +35,54 @@ type metric struct {
 // serialize with their own lock.
 type Registry struct {
 	metrics []metric
-	index   map[string]int
+	// index maps each name to its metric's index plus one, built once
+	// the registry outgrows smallRegistry; a smaller one is searched
+	// linearly. Storing index+1 lets a miss read as -1 without a comma-ok
+	// branch, which keeps lookup cheap enough for Sampler.Series to
+	// inline, so the Series a caller reads stays on its stack.
+	index map[string]int
 }
 
-func (r *Registry) lookup(name string) (int, bool) {
-	if r.index == nil {
-		return 0, false
+// smallRegistry is the metric count up to which a registry keeps no name
+// index, and the capacity its metric slice starts with: a training run's
+// probe registry (five or six gauges) fits in one allocation and never
+// builds a map.
+const smallRegistry = 8
+
+// lookup returns the index of the named metric, or -1.
+func (r *Registry) lookup(name string) int {
+	if r.index != nil {
+		return r.index[name] - 1
 	}
-	i, ok := r.index[name]
-	return i, ok
+	for i := range r.metrics {
+		if r.metrics[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 func (r *Registry) add(m metric) int {
-	if r.index == nil {
-		r.index = make(map[string]int)
+	if r.metrics == nil {
+		r.metrics = make([]metric, 0, smallRegistry)
 	}
 	r.metrics = append(r.metrics, m)
 	i := len(r.metrics) - 1
-	r.index[m.name] = i
+	switch {
+	case r.index != nil:
+		r.index[m.name] = i + 1
+	case len(r.metrics) > smallRegistry:
+		r.index = make(map[string]int, 2*len(r.metrics))
+		for j := range r.metrics {
+			r.index[r.metrics[j].name] = j + 1
+		}
+	}
 	return i
 }
 
 // Counter registers (or finds) a counter and returns its handle.
 func (r *Registry) Counter(name string) CounterID {
-	if i, ok := r.lookup(name); ok {
+	if i := r.lookup(name); i >= 0 {
 		return CounterID(i)
 	}
 	return CounterID(r.add(metric{name: name, kind: kindCounter}))
@@ -67,7 +91,7 @@ func (r *Registry) Counter(name string) CounterID {
 // Gauge registers a gauge sampled by fn. Re-registering a name replaces
 // its sampler.
 func (r *Registry) Gauge(name string, fn func() float64) {
-	if i, ok := r.lookup(name); ok {
+	if i := r.lookup(name); i >= 0 {
 		r.metrics[i].kind = kindGauge
 		r.metrics[i].gauge = fn
 		return
@@ -91,7 +115,7 @@ func (r *Registry) Name(i int) string { return r.metrics[i].name }
 
 // CounterValue returns the named counter's current value (0 if unknown).
 func (r *Registry) CounterValue(name string) int64 {
-	if i, ok := r.lookup(name); ok {
+	if i := r.lookup(name); i >= 0 {
 		return r.metrics[i].count
 	}
 	return 0

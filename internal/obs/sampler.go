@@ -99,8 +99,8 @@ func (s *Sampler) Names() []string {
 // time column, or nil if the metric is not sampled. The view is capped,
 // so an append through it cannot write into the sampler's columns.
 func (s *Sampler) Series(name string) *Series {
-	i, ok := s.reg.index[name]
-	if !ok || i >= len(s.cols) {
+	i := s.reg.lookup(name)
+	if i < 0 || i >= len(s.cols) {
 		return nil
 	}
 	n := len(s.times)
