@@ -76,8 +76,9 @@ const maxFillErrors = 10
 
 // WatchFillAgainstReference checks every flow's rate against
 // referenceFill after every recompute of n, running n's current auditor
-// first. It returns the number of recomputes checked so far. Exported
-// for the external tests that build fabrics through package cluster.
+// first. The returned func reports how many recomputes were checked.
+// Exported for the external tests that build fabrics through package
+// cluster.
 func WatchFillAgainstReference(t testing.TB, n *Network) (checked func() int) {
 	prev := n.auditor
 	checks, errs := 0, 0

@@ -210,7 +210,8 @@ func (n *Network) FillStats() FillStats { return n.fillStats }
 // constraint is one capacity limit in the max-min allocation: a direction
 // of a link, or a flow's own rate cap (a virtual single-flow link).
 // Constraints persist across recomputes; residual and unfrozen are
-// refreshed at the start of each allocation epoch.
+// refreshed at the start of each allocation epoch that refills the
+// constraint's component.
 type constraint struct {
 	link    *Link // nil for per-flow rate caps
 	forward bool
