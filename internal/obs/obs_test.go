@@ -51,19 +51,16 @@ func TestRegistryText(t *testing.T) {
 	}
 }
 
-// TestRegistryLookupAcrossIndexing registers metrics one at a time past
-// the size where the registry starts indexing names, and checks after
-// each registration that every name, including the first and the newest,
-// resolves to its own metric and that unknown names do not resolve.
-func TestRegistryLookupAcrossIndexing(t *testing.T) {
+// TestRegistryLookupAcrossGrowth registers metrics one at a time past the
+// registry's initial capacity, and checks after each registration that
+// every name, including the first and the newest, resolves to its own
+// metric and that unknown names do not resolve.
+func TestRegistryLookupAcrossGrowth(t *testing.T) {
 	var r Registry
 	var ids []CounterID
-	for n := 1; n <= 3*smallRegistry; n++ {
+	for n := 1; n <= 3*registryCap; n++ {
 		ids = append(ids, r.Counter(fmt.Sprintf("c%d", n)))
 		r.Add(ids[n-1], int64(n))
-		if indexed := r.index != nil; indexed != (n > smallRegistry) {
-			t.Fatalf("%d metrics: indexed=%v", n, indexed)
-		}
 		for i, id := range ids {
 			name := fmt.Sprintf("c%d", i+1)
 			if got := r.Counter(name); got != id {
@@ -77,11 +74,11 @@ func TestRegistryLookupAcrossIndexing(t *testing.T) {
 			t.Fatalf("%d metrics: lookup(missing) = %d, want -1", n, i)
 		}
 	}
-	if r.Len() != 3*smallRegistry {
-		t.Fatalf("Len = %d, want %d", r.Len(), 3*smallRegistry)
+	if r.Len() != 3*registryCap {
+		t.Fatalf("Len = %d, want %d", r.Len(), 3*registryCap)
 	}
 	r.Gauge("c1", func() float64 { return 7 })
-	if got := r.value(0); got != 7 || r.Len() != 3*smallRegistry {
+	if got := r.value(0); got != 7 || r.Len() != 3*registryCap {
 		t.Fatalf("re-registered c1 as a gauge: value %v, Len %d", got, r.Len())
 	}
 }

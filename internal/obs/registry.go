@@ -35,25 +35,16 @@ type metric struct {
 // serialize with their own lock.
 type Registry struct {
 	metrics []metric
-	// index maps each name to its metric's index plus one, built once
-	// the registry outgrows smallRegistry; a smaller one is searched
-	// linearly. Storing index+1 lets a miss read as -1 without a comma-ok
-	// branch, which keeps lookup cheap enough for Sampler.Series to
-	// inline, so the Series a caller reads stays on its stack.
-	index map[string]int
 }
 
-// smallRegistry is the metric count up to which a registry keeps no name
-// index, and the capacity its metric slice starts with: a training run's
-// probe registry (five or six gauges) fits in one allocation and never
-// builds a map.
-const smallRegistry = 8
+// registryCap is the capacity a registry's metric slice starts with: a
+// training run's probe registry (five or six gauges) fits in one
+// allocation. Names are found by a linear scan: lookups run when a
+// metric is registered or read by name, never per event.
+const registryCap = 8
 
 // lookup returns the index of the named metric, or -1.
 func (r *Registry) lookup(name string) int {
-	if r.index != nil {
-		return r.index[name] - 1
-	}
 	for i := range r.metrics {
 		if r.metrics[i].name == name {
 			return i
@@ -64,20 +55,10 @@ func (r *Registry) lookup(name string) int {
 
 func (r *Registry) add(m metric) int {
 	if r.metrics == nil {
-		r.metrics = make([]metric, 0, smallRegistry)
+		r.metrics = make([]metric, 0, registryCap)
 	}
 	r.metrics = append(r.metrics, m)
-	i := len(r.metrics) - 1
-	switch {
-	case r.index != nil:
-		r.index[m.name] = i + 1
-	case len(r.metrics) > smallRegistry:
-		r.index = make(map[string]int, 2*len(r.metrics))
-		for j := range r.metrics {
-			r.index[r.metrics[j].name] = j + 1
-		}
-	}
-	return i
+	return len(r.metrics) - 1
 }
 
 // Counter registers (or finds) a counter and returns its handle.
