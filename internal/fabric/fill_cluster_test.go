@@ -64,8 +64,8 @@ func TestFillMatchesReferenceOnScenarios(t *testing.T) {
 			if res.Fingerprint() != want.Fingerprint {
 				t.Errorf("fingerprint differs from RunFaultyFleet's:\n%s\nwant\n%s", res.Fingerprint(), want.Fingerprint)
 			}
-			if checked() == 0 {
-				t.Fatal("the fill check never ran")
+			if got, want := checked(), f.Net.FillStats().Recomputes; got != want || got == 0 {
+				t.Fatalf("checked %d of %d recomputes", got, want)
 			}
 		})
 	}

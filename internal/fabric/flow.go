@@ -98,9 +98,10 @@ type Network struct {
 	// Plain fields, never registered with obs, so traces and metrics do
 	// not depend on them.
 	routeStats RouteStats
-	// fillStats counts max-min fill work (see FillStats), likewise never
-	// registered with obs.
-	fillStats FillStats
+	// fillWork counts max-min fill work (see FillStats), likewise never
+	// registered with obs. Recomputes are not counted here: epoch already
+	// counts them.
+	fillWork struct{ rounds, visits, refilled int }
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed
@@ -205,7 +206,14 @@ type FillStats struct {
 }
 
 // FillStats returns the fill work counters.
-func (n *Network) FillStats() FillStats { return n.fillStats }
+func (n *Network) FillStats() FillStats {
+	return FillStats{
+		Recomputes:       int(n.epoch),
+		Rounds:           n.fillWork.rounds,
+		ConstraintVisits: n.fillWork.visits,
+		FlowsRefilled:    n.fillWork.refilled,
+	}
+}
 
 // constraint is one capacity limit in the max-min allocation: a direction
 // of a link, or a flow's own rate cap (a virtual single-flow link).
@@ -753,7 +761,6 @@ func (n *Network) recomputeNow() {
 		n.obs.Inc(n.obsRecompute)
 	}
 	n.epoch++
-	n.fillStats.Recomputes++
 	if len(n.flows) == 0 {
 		n.liveCons = n.liveCons[:0]
 		if n.auditor != nil {
@@ -860,9 +867,9 @@ func (n *Network) recomputeNow() {
 		}
 	}
 	n.liveCons = live[:0]
-	n.fillStats.Rounds += rounds
-	n.fillStats.ConstraintVisits += visits
-	n.fillStats.FlowsRefilled += frozen
+	n.fillWork.rounds += rounds
+	n.fillWork.visits += visits
+	n.fillWork.refilled += frozen
 
 	// Schedule the next completion.
 	nextIn := math.Inf(1)
